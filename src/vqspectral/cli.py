@@ -123,7 +123,6 @@ def _train_config(cfg: ExperimentConfig) -> training.TrainConfig:
         epochs=cfg.epochs,
         eval_every=cfg.eval_every,
         gradient_mode=cfg.gradient_mode,
-        seed=cfg.net_seed,
     )
 
 
@@ -133,10 +132,6 @@ def _feature_input_shape(cfg: ExperimentConfig, split: training.Split):
         return (1, natural.shape[0], natural.shape[1])
     extra = 1 if split.k_values is not None else 0
     return (int(np.prod(natural.shape)) + extra,)
-
-
-def _grid_features(split: training.Split, input_shape):
-    return [training.feature_vector(split, i, input_shape) for i in range(len(split.truth))]
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -3,25 +3,30 @@
 For each instance the loss compares the circuit state against the normalized
 forward transform |F> of its forcing through
 
-    gamma = Re sum_l c_l <F|P_l|psi>,     beta = sum_l d_l <psi|P_l|psi>,
+    gamma = Re <F|A psi>,     beta = ||A psi||^2 = <psi|A^dag A|psi>.
 
-with {c_l} the expansion of the operator A and {d_l} that of A^dag A. The
-normalized objective is 1 - gamma/sqrt(beta); the quadratic form
+The normalized objective is 1 - gamma/sqrt(beta); the quadratic form
 (gamma - sqrt(beta))^2 shares its global minimum and is the default training
 objective because the fraction can destabilize early training. The standard
 fidelity cost 1 - |<F|A psi>|^2/beta is kept as the comparison baseline; it
 cannot distinguish psi from -psi, which is exactly the defect the phase-aware
 form removes.
 
-Exact-expectation evaluation contracts the dense reconstructions of the
-expansions (identical to the per-term Pauli sums to reconstruction accuracy);
-``per_term=True`` switches to the explicit sums.
+Exact-expectation evaluation applies the assembled dense operator: a fixed A,
+or A_i = B + k_i^2 C per instance when the context carries wave numbers. The
+Pauli expansions of A and A^dag A (and, for the family, of B, C and their four
+cross-products) are built on first access. They serve as references:
+``per_term=True`` evaluates gamma and beta as the explicit Pauli sums
+c_l <F|P_l|psi> and d_l <psi|P_l|psi>, and ``loss_parametric`` assembles them
+from the six fixed family expansions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,18 +37,10 @@ from .errors import (
     DegenerateDenominatorError,
     PhaseContaminationWarning,
 )
-from .pauli import (
-    MeasurementGrouping,
-    PauliExpansion,
-    adjoint_product,
-    decompose,
-    group_commuting,
-    normal_operator,
-)
+from .pauli import PauliExpansion, adjoint_product, decompose, normal_operator
 from .spectral import SolutionField, SpectralSystem, reconstruct
 
 __all__ = [
-    "ParametricContext",
     "LossContext",
     "LossValue",
     "build_loss_context",
@@ -62,42 +59,18 @@ _BETA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ParametricContext:
-    """Fixed expansions for an operator family A(k) = B + k^2 C.
+class LossContext:
+    """Everything a loss evaluation needs for a batch of instances.
 
-    gamma(k) assembles from (B, C) with weights (1, k^2); the denominator
-    radicand from (B^dag B, B^dag C, C^dag B, C^dag C) with weights
-    (1, k^2, k^2, k^4). All six are decomposed once and reused for every k.
+    With ``k_values`` set, instance i uses A_i = B + k_i^2 C from
+    ``parametric_parts``; otherwise every instance uses ``a_matrix``.
     """
 
-    expansion_b: PauliExpansion
-    expansion_c: PauliExpansion
-    expansion_bb: PauliExpansion
-    expansion_bc: PauliExpansion
-    expansion_cb: PauliExpansion
-    expansion_cc: PauliExpansion
-    mat_b: np.ndarray
-    mat_c: np.ndarray
-    mat_bb: np.ndarray
-    mat_bc: np.ndarray
-    mat_cb: np.ndarray
-    mat_cc: np.ndarray
-
-
-@dataclass(frozen=True)
-class LossContext:
-    """Everything a loss evaluation needs for a batch of instances."""
-
-    n_qubits: int
-    expansion_a: PauliExpansion
-    expansion_ada: PauliExpansion
-    grouping_num: MeasurementGrouping
-    grouping_den: MeasurementGrouping
+    a_matrix: np.ndarray  # the assembled operator
     target_states: np.ndarray  # (D, K), unit rows
     raw_norms: np.ndarray  # (D,)
-    a_matrix: np.ndarray  # dense reconstruction of expansion_a
     system: SpectralSystem | None = None
-    parametric: ParametricContext | None = None
+    parametric_parts: tuple[np.ndarray, np.ndarray] | None = None  # (B, C)
     k_values: np.ndarray | None = None  # per-instance wave numbers
 
     @property
@@ -108,29 +81,34 @@ class LossContext:
     def dim(self) -> int:
         return self.target_states.shape[1]
 
+    @cached_property
+    def expansion_a(self) -> PauliExpansion:
+        return decompose(self.a_matrix, "A" if self.system is None else self.system.pde)
 
-def _build_parametric(parts, drop_tol=1e-14) -> ParametricContext:
-    b_mat, c_mat = parts
-    eb = decompose(b_mat, "B", drop_tol)
-    ec = decompose(c_mat, "C", drop_tol)
-    ebb = adjoint_product(eb, eb, drop_tol, "B^dag B")
-    ebc = adjoint_product(eb, ec, drop_tol, "B^dag C")
-    ecb = adjoint_product(ec, eb, drop_tol, "C^dag B")
-    ecc = adjoint_product(ec, ec, drop_tol, "C^dag C")
-    return ParametricContext(
-        expansion_b=eb,
-        expansion_c=ec,
-        expansion_bb=ebb,
-        expansion_bc=ebc,
-        expansion_cb=ecb,
-        expansion_cc=ecc,
-        mat_b=eb.to_matrix(),
-        mat_c=ec.to_matrix(),
-        mat_bb=ebb.to_matrix(),
-        mat_bc=ebc.to_matrix(),
-        mat_cb=ecb.to_matrix(),
-        mat_cc=ecc.to_matrix(),
-    )
+    @cached_property
+    def expansion_ada(self) -> PauliExpansion:
+        return normal_operator(self.expansion_a)
+
+    @cached_property
+    def parametric_expansions(self) -> dict[str, PauliExpansion]:
+        """Expansions of B, C and of B^dag B, B^dag C, C^dag B, C^dag C.
+
+        Keyed "B", "C", "BB", "BC", "CB", "CC"; decomposed once and reused for
+        every k.
+        """
+        if self.parametric_parts is None:
+            raise ConfigurationError("context carries no parametric operator")
+        parts = {name: decompose(m, name) for name, m in zip("BC", self.parametric_parts)}
+        for left in "BC":
+            for right in "BC":
+                parts[left + right] = adjoint_product(
+                    parts[left], parts[right], source_tag=f"{left}^dag {right}"
+                )
+        return parts
+
+
+def _k_array(k_values) -> np.ndarray | None:
+    return None if k_values is None else np.asarray(k_values, dtype=float)
 
 
 def build_loss_context(
@@ -140,32 +118,25 @@ def build_loss_context(
     system: SpectralSystem | None = None,
     parametric_parts=None,
     k_values: np.ndarray | None = None,
-    tag: str = "A",
 ) -> LossContext:
-    """Decompose the operator, group its terms, and normalize the targets."""
+    """Normalize the targets against the operator; Pauli data is built on demand."""
     matrix = np.asarray(matrix)
     raw_targets = np.atleast_2d(np.asarray(raw_targets, dtype=float))
     if raw_targets.shape[1] != matrix.shape[0]:
         raise ContractViolation("target dimension does not match the operator")
+    if k_values is not None and parametric_parts is None:
+        raise ContractViolation("wave numbers need a parametric operator")
     norms = np.linalg.norm(raw_targets, axis=1)
     if np.any(norms < 1e-300):
         raise ContractViolation("zero-norm target state")
-    expansion_a = decompose(matrix, tag)
-    expansion_ada = normal_operator(expansion_a)
-    ctx = LossContext(
-        n_qubits=expansion_a.n_qubits,
-        expansion_a=expansion_a,
-        expansion_ada=expansion_ada,
-        grouping_num=group_commuting(expansion_a),
-        grouping_den=group_commuting(expansion_ada),
+    return LossContext(
+        a_matrix=matrix,
         target_states=raw_targets / norms[:, None],
         raw_norms=norms,
-        a_matrix=expansion_a.to_matrix(),
         system=system,
-        parametric=_build_parametric(parametric_parts) if parametric_parts is not None else None,
-        k_values=None if k_values is None else np.asarray(k_values, dtype=float),
+        parametric_parts=parametric_parts,
+        k_values=_k_array(k_values),
     )
-    return ctx
 
 
 def context_for_system(
@@ -177,7 +148,6 @@ def context_for_system(
         system=system,
         parametric_parts=system.parametric_parts,
         k_values=k_values,
-        tag=system.pde,
     )
 
 
@@ -185,18 +155,11 @@ def with_targets(ctx: LossContext, raw_targets: np.ndarray, k_values=None) -> Lo
     """Same operator context, different instance set (e.g. held-out split)."""
     raw_targets = np.atleast_2d(np.asarray(raw_targets, dtype=float))
     norms = np.linalg.norm(raw_targets, axis=1)
-    return LossContext(
-        n_qubits=ctx.n_qubits,
-        expansion_a=ctx.expansion_a,
-        expansion_ada=ctx.expansion_ada,
-        grouping_num=ctx.grouping_num,
-        grouping_den=ctx.grouping_den,
+    return dataclasses.replace(
+        ctx,
         target_states=raw_targets / norms[:, None],
         raw_norms=norms,
-        a_matrix=ctx.a_matrix,
-        system=ctx.system,
-        parametric=ctx.parametric,
-        k_values=None if k_values is None else np.asarray(k_values, dtype=float),
+        k_values=_k_array(k_values),
     )
 
 
@@ -217,23 +180,37 @@ def _check_states(ctx: LossContext, states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _gamma_beta_dense(ctx: LossContext, states: np.ndarray):
-    applied = states @ ctx.a_matrix.T  # rows A psi_i
-    gamma = np.einsum("ij,ij->i", ctx.target_states, applied).real
-    beta = np.einsum("ij,ij->i", applied.conj(), applied).real
-    return gamma, beta
+def _apply(ctx: LossContext, rows: np.ndarray, adjoint: bool = False, instances=slice(None)):
+    """A_i (or A_i^dag) applied to rows[i, ..., :] for the selected instances i."""
+
+    def matrix_side(mat):  # rows @ M.T == (M @ row) per row
+        return mat.conj() if adjoint else mat.T
+
+    if ctx.k_values is None:
+        return rows @ matrix_side(ctx.a_matrix)
+    b, c = ctx.parametric_parts
+    k2 = np.square(ctx.k_values[instances]).reshape((-1,) + (1,) * (rows.ndim - 1))
+    return rows @ matrix_side(b) + k2 * (rows @ matrix_side(c))
 
 
-def _gamma_beta_per_term(ctx: LossContext, states: np.ndarray):
-    d = states.shape[0]
-    gamma = np.zeros(d)
-    beta = np.zeros(d)
-    for i in range(d):
-        gamma[i] = qsim.overlap_of_expansion(
-            ctx.target_states[i].astype(complex), ctx.expansion_a, states[i]
-        ).real
-        beta[i] = qsim.expectation_of_expansion(states[i], ctx.expansion_ada)
-    return gamma, beta
+def _overlap_beta(ctx: LossContext, applied: np.ndarray):
+    """(<F_i|A_i psi>, ||A_i psi||^2) for rows A_i psi shaped (D, ..., K)."""
+    overlap = np.einsum("i...k,ik->i...", applied, ctx.target_states)
+    beta = np.einsum("i...k,i...k->i...", applied.conj(), applied).real
+    return overlap, beta
+
+
+def _overlap_beta_per_term(ctx: LossContext, states: np.ndarray):
+    if ctx.k_values is not None:
+        raise ConfigurationError("per-term sums cover a fixed operator only")
+    overlap = np.array(
+        [
+            qsim.overlap_of_expansion(f.astype(complex), ctx.expansion_a, s)
+            for f, s in zip(ctx.target_states, states)
+        ]
+    )
+    beta = np.array([qsim.expectation_of_expansion(s, ctx.expansion_ada) for s in states])
+    return overlap, beta
 
 
 def _guard_beta(beta: np.ndarray) -> np.ndarray:
@@ -244,51 +221,46 @@ def _guard_beta(beta: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _objective(objective: str, overlap: np.ndarray, beta: np.ndarray):
+    """Per-instance loss L_i and cotangent weights (u_i, v_i).
+
+    With z = <F|A psi>, dL_i/d(conj psi_i) = A_i^dag (u_i F_i + v_i A_i psi_i).
+    """
+    gamma = overlap.real
+    root = np.sqrt(beta)
+    if objective == "normalized":
+        return 1.0 - gamma / root, -0.5 / root, gamma / (2.0 * beta * root)
+    if objective == "unnormalized":
+        return (gamma - root) ** 2, gamma - root, -(gamma - root) / root
+    if objective == "vqls":
+        fidelity = np.abs(overlap) ** 2 / beta
+        return 1.0 - fidelity, -overlap / beta, fidelity / beta
+    raise ConfigurationError(f"unknown objective {objective!r}")
+
+
+def _loss(ctx: LossContext, states, objective: str, per_term: bool = False) -> LossValue:
+    states = _check_states(ctx, states)
+    if per_term:
+        overlap, beta = _overlap_beta_per_term(ctx, states)
+    else:
+        overlap, beta = _overlap_beta(ctx, _apply(ctx, states))
+    per, _, _ = _objective(objective, overlap, _guard_beta(beta))
+    return LossValue(float(per.mean()), per, overlap.real, beta)
+
+
 def loss_phase_aware(ctx: LossContext, states: np.ndarray, per_term: bool = False) -> LossValue:
     """Normalized objective: mean over instances of 1 - gamma/sqrt(beta)."""
-    states = _check_states(ctx, states)
-    gamma, beta = (
-        _gamma_beta_per_term(ctx, states) if per_term else _gamma_beta_dense(ctx, states)
-    )
-    _guard_beta(beta)
-    per = 1.0 - gamma / np.sqrt(beta)
-    return LossValue(float(per.mean()), per, gamma, beta)
+    return _loss(ctx, states, "normalized", per_term)
 
 
 def loss_unnormalized(ctx: LossContext, states: np.ndarray, per_term: bool = False) -> LossValue:
     """Quadratic objective: mean of (gamma - sqrt(beta))^2; default for training."""
-    states = _check_states(ctx, states)
-    gamma, beta = (
-        _gamma_beta_per_term(ctx, states) if per_term else _gamma_beta_dense(ctx, states)
-    )
-    _guard_beta(beta)
-    per = (gamma - np.sqrt(beta)) ** 2
-    return LossValue(float(per.mean()), per, gamma, beta)
+    return _loss(ctx, states, "unnormalized", per_term)
 
 
 def loss_vqls_standard(ctx: LossContext, states: np.ndarray) -> float:
     """Fidelity baseline: mean of 1 - |<F|A psi>|^2 / beta (sign-blind)."""
-    states = _check_states(ctx, states)
-    applied = states @ ctx.a_matrix.T
-    overlap = np.einsum("ij,ij->i", ctx.target_states.astype(complex).conj(), applied)
-    beta = _guard_beta(np.einsum("ij,ij->i", applied.conj(), applied).real)
-    per = 1.0 - np.abs(overlap) ** 2 / beta
-    return float(per.mean())
-
-
-def _parametric_gamma_beta(ctx: LossContext, states: np.ndarray, k: np.ndarray):
-    p = ctx.parametric
-    k2 = k * k
-    k4 = k2 * k2
-    gb = np.einsum("ij,ij->i", ctx.target_states, states @ p.mat_b.T).real
-    gc = np.einsum("ij,ij->i", ctx.target_states, states @ p.mat_c.T).real
-    gamma = gb + k2 * gc
-
-    def quad(mat):
-        return np.einsum("ij,ij->i", states.conj(), states @ mat.T).real
-
-    beta = quad(p.mat_bb) + k2 * (quad(p.mat_bc) + quad(p.mat_cb)) + k4 * quad(p.mat_cc)
-    return gamma, beta
+    return _loss(ctx, states, "vqls").total
 
 
 def loss_parametric(
@@ -299,55 +271,31 @@ def loss_parametric(
 ) -> LossValue:
     """Loss for the operator family A(k) = B + k^2 C from the six fixed expansions.
 
-    The stiffness/mass decompositions are reused across every k; only the
-    scalar weights (1, k^2) for gamma and (1, k^2, k^2, k^4) for beta change.
+    The reference for the assembled per-instance operator: the Pauli
+    expansions of B, C and their cross-products are decomposed once, on first
+    use, and reused across every k; only the scalar weights (1, k^2) for gamma
+    and (1, k^2, k^2, k^4) for beta change.
     """
-    if ctx.parametric is None:
-        raise ConfigurationError("context carries no parametric expansions")
     states = _check_states(ctx, states)
     if k is None:
         k = ctx.k_values
     if k is None:
         raise ConfigurationError("per-instance wave numbers are required")
-    k = np.broadcast_to(np.asarray(k, dtype=float), (states.shape[0],))
-    gamma, beta = _parametric_gamma_beta(ctx, states, k)
-    _guard_beta(beta)
-    if objective == "normalized":
-        per = 1.0 - gamma / np.sqrt(beta)
-    elif objective == "unnormalized":
-        per = (gamma - np.sqrt(beta)) ** 2
-    else:
-        raise ConfigurationError(f"unknown objective {objective!r}")
-    return LossValue(float(per.mean()), per, gamma, beta)
+    k2 = np.broadcast_to(np.asarray(k, dtype=float), (states.shape[0],)) ** 2
+    mats = {name: e.to_matrix() for name, e in ctx.parametric_expansions.items()}
+
+    def form(bras, name):
+        return np.einsum("ij,ij->i", bras.conj(), states @ mats[name].T)
+
+    overlap = form(ctx.target_states, "B") + k2 * form(ctx.target_states, "C")
+    cross = form(states, "BC") + form(states, "CB") + k2 * form(states, "CC")
+    beta = (form(states, "BB") + k2 * cross).real
+    per, _, _ = _objective(objective, overlap, _guard_beta(beta))
+    return LossValue(float(per.mean()), per, overlap.real, beta)
 
 
 # ---------------------------------------------------------------------------
 # End-to-end gradients
-
-
-def _loss_weights(objective: str, gamma: np.ndarray, beta: np.ndarray):
-    """(dL_i/dgamma_i, dL_i/dbeta_i) for the chosen per-instance objective."""
-    root = np.sqrt(beta)
-    if objective == "unnormalized":
-        return 2.0 * (gamma - root), -(gamma - root) / root
-    if objective == "normalized":
-        return -1.0 / root, gamma / (2.0 * beta * root)
-    if objective == "vqls":
-        # L = 1 - |z|^2 / beta handled separately (needs the complex overlap)
-        raise ConfigurationError("vqls gradients use _vqls_cotangents")
-    raise ConfigurationError(f"unknown objective {objective!r}")
-
-
-def _instance_matrices(ctx: LossContext):
-    """Per-instance (A_i, N_i) where N_i = A_i^dag A_i, honoring the parametric split."""
-    d = ctx.n_instances
-    if ctx.parametric is None or ctx.k_values is None:
-        return [ctx.a_matrix] * d, None
-    p = ctx.parametric
-    mats = []
-    for k in ctx.k_values:
-        mats.append(p.mat_b + (k * k) * p.mat_c)
-    return mats, None
 
 
 def grad_total(
@@ -364,8 +312,9 @@ def grad_total(
     "adjoint" differentiates the statevector exactly in reverse; the
     "parameter_shift" mode reproduces the same d(loss)/d(angle) from shifted
     circuit evaluations (expectations at +-pi/2 divided by 2, linear overlaps
-    divided by 2*sqrt(2)). Returns (grads, LossValue) with grads shaped like
-    the network parameters.
+    divided by 2*sqrt(2)), all 2 * n_slots shifts of every instance in one
+    batch. Returns (grads, LossValue) with grads shaped like the network
+    parameters.
     """
     d = ctx.n_instances
     features = list(batch_features)
@@ -375,57 +324,22 @@ def grad_total(
     if angles.shape[1] != program.n_slots:
         raise ContractViolation("network output does not match circuit slot count")
     states = qsim.run_batch(program, angles)
-
-    use_vqls = objective == "vqls"
-    mats, _ = _instance_matrices(ctx)
-    applied = np.stack([mats[i] @ states[i] for i in range(d)])
-    overlaps = np.einsum("ij,ij->i", ctx.target_states.astype(complex).conj(), applied)
-    gamma = overlaps.real
-    beta = _guard_beta(np.einsum("ij,ij->i", applied.conj(), applied).real)
-    if use_vqls:
-        per = 1.0 - np.abs(overlaps) ** 2 / beta
-    elif objective == "unnormalized":
-        per = (gamma - np.sqrt(beta)) ** 2
-    elif objective == "normalized":
-        per = 1.0 - gamma / np.sqrt(beta)
-    else:
-        raise ConfigurationError(f"unknown objective {objective!r}")
-    value = LossValue(float(per.mean()), per, gamma, beta)
+    applied = _apply(ctx, states)
+    overlap, beta = _overlap_beta(ctx, applied)
+    per, u, v = _objective(objective, overlap, _guard_beta(beta))
+    value = LossValue(float(per.mean()), per, overlap.real, beta)
 
     if gradient_mode == "adjoint":
-        cot = np.zeros_like(states)
-        for i in range(d):
-            adag = mats[i].conj().T
-            if use_vqls:
-                # L_i = 1 - z conj(z)/beta with z = <F|A psi>
-                cot[i] = -(overlaps[i] / beta[i]) * (adag @ ctx.target_states[i].astype(complex))
-                cot[i] += (np.abs(overlaps[i]) ** 2 / beta[i] ** 2) * (adag @ applied[i])
-            else:
-                wg, wb = _loss_weights(objective, gamma[i : i + 1], beta[i : i + 1])
-                cot[i] = wg[0] * (adag @ ctx.target_states[i].astype(complex)) / 2.0
-                cot[i] += wb[0] * (adag @ applied[i])
+        cot = _apply(ctx, u[:, None] * ctx.target_states + v[:, None] * applied, adjoint=True)
         dtheta = qsim.adjoint_gradient(program, angles, cot)
     elif gradient_mode == "parameter_shift":
-        dtheta = np.zeros_like(angles)
-        shift = np.pi / 2.0
-        for i in range(d):
-            if use_vqls:
-                raise ConfigurationError("parameter_shift gradients cover the phase-aware objectives")
-            wg, wb = _loss_weights(objective, gamma[i : i + 1], beta[i : i + 1])
-            target = ctx.target_states[i].astype(complex)
-            for j in range(program.n_slots):
-                plus = angles[i].copy()
-                plus[j] += shift
-                minus = angles[i].copy()
-                minus[j] -= shift
-                sp_ = qsim.run(program, plus)
-                sm_ = qsim.run(program, minus)
-                ap, am = mats[i] @ sp_, mats[i] @ sm_
-                dgamma = (np.vdot(target, ap).real - np.vdot(target, am).real) / (
-                    2.0 * np.sqrt(2.0)
-                )
-                dbeta = (np.vdot(ap, ap).real - np.vdot(am, am).real) / 2.0
-                dtheta[i, j] = wg[0] * dgamma + wb[0] * dbeta
+        s = program.n_slots
+        shifts = (np.pi / 2.0) * np.concatenate([np.eye(s), -np.eye(s)])
+        shifted = qsim.run_batch(program, (angles[:, None, :] + shifts).reshape(-1, s))
+        z, b = _overlap_beta(ctx, _apply(ctx, shifted.reshape(d, 2 * s, -1)))
+        dz = (z[:, :s] - z[:, s:]) / (2.0 * np.sqrt(2.0))
+        db = (b[:, :s] - b[:, s:]) / 2.0
+        dtheta = 2.0 * (np.conj(u)[:, None] * dz).real + v[:, None] * db
     else:
         raise ConfigurationError(f"unknown gradient mode {gradient_mode!r}")
 
@@ -449,8 +363,7 @@ def imag_overlap_diagnostic(ctx: LossContext, states: np.ndarray) -> np.ndarray:
     entangling ansaetze.
     """
     states = _check_states(ctx, states)
-    applied = states @ ctx.a_matrix.T
-    return np.einsum("ij,ij->i", ctx.target_states.astype(complex).conj(), applied).imag
+    return _overlap_beta(ctx, _apply(ctx, states))[0].imag
 
 
 def recover_solution(state: np.ndarray, ctx: LossContext, instance: int) -> SolutionField:
@@ -461,8 +374,7 @@ def recover_solution(state: np.ndarray, ctx: LossContext, instance: int) -> Solu
     residue on a real-solution problem triggers a warning rather than an error.
     """
     state = np.asarray(state, dtype=complex)
-    mats, _ = _instance_matrices(ctx)
-    applied = mats[instance] @ state
+    applied = _apply(ctx, state[None, :], instances=[instance])[0]
     beta = float(np.vdot(applied, applied).real)
     _guard_beta(np.array([beta]))
     norm = float(np.linalg.norm(state))

@@ -94,7 +94,6 @@ class PauliString:
         dim = 1 << self.n_qubits
         src = np.arange(dim) ^ self.x_bits
         phase = _I_POWERS[(self.x_bits & self.z_bits).bit_count() % 4]
-        signs = 1.0 - 2.0 * _parity(np.arange(dim) & self.z_bits)
         # (P s)[b] = phase * (-1)^{z.(b^x)} s[b^x]
         sign_src = 1.0 - 2.0 * _parity(src & self.z_bits)
         return phase * sign_src * state[..., src]

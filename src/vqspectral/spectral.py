@@ -196,17 +196,6 @@ class DirectionBC:
         )
 
 
-def boundary_spec_for(kind: str) -> DirectionBC:
-    table = {
-        "dirichlet": DirectionBC.dirichlet,
-        "neumann": DirectionBC.neumann,
-        "initial_value": DirectionBC.initial_value,
-    }
-    if kind not in table:
-        raise ConfigurationError(f"unknown boundary kind {kind!r}")
-    return table[kind]()
-
-
 @dataclass(frozen=True)
 class BoundarySpec:
     """Per-direction boundary conditions for a d-dimensional problem."""

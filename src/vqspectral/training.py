@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import anglenet, loss as loss_mod, qsim
 from .errors import ConfigurationError, ContractViolation, DivergenceError
-from .spectral import SolutionField, SpectralSystem, classical_solve, forward_transform, metrics
+from .spectral import SpectralSystem, classical_solve, forward_transform, metrics
 
 __all__ = [
     "DatasetSpec",
@@ -95,23 +95,6 @@ class Dataset:
     resample_count: int = 0
 
 
-def _truth_matrix(system: SpectralSystem, k: float | None) -> np.ndarray:
-    if k is None:
-        return system.matrix
-    b, c = system.parametric_parts
-    return b + (k * k) * c
-
-
-def _solve_truth(system: SpectralSystem, rhs: np.ndarray, k: float | None) -> SolutionField:
-    if k is None:
-        return classical_solve(system, rhs)
-    mat = _truth_matrix(system, k)
-    alpha = np.linalg.solve(mat, rhs)
-    from .spectral import reconstruct
-
-    return SolutionField(coefficients=alpha, nodal_values=reconstruct(system, alpha))
-
-
 def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
     """Sample forcing instances, forward-transform them, and solve for truth.
 
@@ -171,7 +154,11 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
             features.append(feat)
             rows.append(raw)
             ks.append(k_val)
-            truths.append(_solve_truth(system, raw, k_val))
+            instance_system = system
+            if k_val is not None:  # the instance operator B + k^2 C
+                b, c = system.parametric_parts
+                instance_system = replace(system, matrix=b + (k_val * k_val) * c)
+            truths.append(classical_solve(instance_system, raw))
         k_arr = None if ks[0] is None else np.array(ks, dtype=float)
         return Split(features=features, raw_targets=np.array(rows), k_values=k_arr, truth=truths)
 
@@ -376,7 +363,6 @@ class TrainConfig:
     epochs: int = 1000
     gradient_mode: str = "adjoint"  # adjoint | parameter_shift
     eval_every: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -495,6 +481,11 @@ def _flatten_grads(grads) -> list:
     return out
 
 
+def _check_loss(total: float) -> None:
+    if not np.isfinite(total) or total > 1e6:
+        raise DivergenceError(f"loss diverged to {total:.3e}")
+
+
 def train(
     config: TrainConfig,
     data: TrainData,
@@ -512,7 +503,6 @@ def train(
     aborted, reason = False, ""
 
     params = _net_params(net)
-    adam = AdamState.for_params(params)
 
     def record(epoch: int) -> None:
         nonlocal best
@@ -538,6 +528,17 @@ def train(
         if score < best[0]:
             best = (score, epoch, net.copy())
 
+    def gradient():
+        grads, value = loss_mod.grad_total(
+            data.ctx_train,
+            program,
+            net,
+            data.train_features,
+            objective=config.objective,
+            gradient_mode=config.gradient_mode,
+        )
+        return value.total, _flatten_grads(grads)
+
     if config.optimizer == "lbfgs":
         shapes = [p.shape for p in params]
 
@@ -553,54 +554,41 @@ def train(
 
         def closure(x: np.ndarray):
             unpack(x)
-            grads, value = loss_mod.grad_total(
-                data.ctx_train,
-                program,
-                net,
-                data.train_features,
-                objective=config.objective,
-                gradient_mode=config.gradient_mode,
-            )
-            flat = np.concatenate([g.reshape(-1) for g in _flatten_grads(grads)])
-            return value.total, flat
+            total, grads = gradient()
+            return total, np.concatenate([g.reshape(-1) for g in grads])
 
         f0, g0 = closure(pack())
-        state = LbfgsState(x=pack(), f=f0, g=g0, m=10)
-        for epoch in range(1, config.epochs + 1):
-            state = lbfgs_step(state, closure)
-            unpack(state.x)
-            if not np.isfinite(state.f) or state.f > 1e6:
-                aborted, reason = True, f"loss diverged to {state.f:.3e} at epoch {epoch}"
-                break
-            if epoch % config.eval_every == 0 or epoch == config.epochs:
-                record(epoch)
+        lbfgs = LbfgsState(x=pack(), f=f0, g=g0, m=10)
+
+        def step() -> None:
+            lbfgs_step(lbfgs, closure)
+            unpack(lbfgs.x)
+            _check_loss(lbfgs.f)
+
     else:
-        for epoch in range(1, config.epochs + 1):
-            try:
-                grads, value = loss_mod.grad_total(
-                    data.ctx_train,
-                    program,
-                    net,
-                    data.train_features,
-                    objective=config.objective,
-                    gradient_mode=config.gradient_mode,
-                )
-                if not np.isfinite(value.total) or value.total > 1e6:
-                    raise DivergenceError(f"loss diverged to {value.total:.3e}")
-                adam_step(
-                    adam,
-                    params,
-                    _flatten_grads(grads),
-                    lr=config.learning_rate,
-                    beta1=config.beta1,
-                    beta2=config.beta2,
-                    eps=config.epsilon,
-                )
-            except DivergenceError as err:
-                aborted, reason = True, f"{err} at epoch {epoch}"
-                break
-            if epoch % config.eval_every == 0 or epoch == config.epochs:
-                record(epoch)
+        adam = AdamState.for_params(params)
+
+        def step() -> None:
+            total, grads = gradient()
+            _check_loss(total)  # abort before applying a diverged step
+            adam_step(
+                adam,
+                params,
+                grads,
+                lr=config.learning_rate,
+                beta1=config.beta1,
+                beta2=config.beta2,
+                eps=config.epsilon,
+            )
+
+    for epoch in range(1, config.epochs + 1):
+        try:
+            step()
+        except DivergenceError as err:
+            aborted, reason = True, f"{err} at epoch {epoch}"
+            break
+        if epoch % config.eval_every == 0 or epoch == config.epochs:
+            record(epoch)
 
     if not rows:
         record(0)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vqspectral import anglenet as an
 from vqspectral import loss as ls
@@ -21,6 +24,28 @@ def identity_context(dim=4, scale=1.0, raw=None):
         raw = np.zeros((1, dim))
         raw[0, 0] = scale
     return ls.build_loss_context(scale * np.eye(dim), raw)
+
+
+def joint_context(rng, instances=3, n_modes=8):
+    system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, n_modes)
+    raw = rng.standard_normal((instances, n_modes))
+    return ls.context_for_system(system, raw, k_values=rng.uniform(4.0, 5.0, instances))
+
+
+def instance_matrices(ctx):
+    """Explicit A_i per instance: the fixed operator, or B + k_i^2 C."""
+    if ctx.k_values is None:
+        return [ctx.a_matrix] * ctx.n_instances
+    b, c = ctx.parametric_parts
+    return [b + k * k * c for k in ctx.k_values]
+
+
+def instance_contexts(ctx):
+    """One single-instance fixed-operator context per instance of ctx."""
+    return [
+        ls.build_loss_context(mat, ctx.target_states[i : i + 1])
+        for i, mat in enumerate(instance_matrices(ctx))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +191,78 @@ def test_state_shape_checked():
         ls.loss_phase_aware(ctx, np.zeros((2, 4), dtype=complex))
 
 
+def test_joint_losses_use_instance_operator(rng):
+    ctx = joint_context(rng)
+    states = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    direct = instance_contexts(ctx)
+    for fn in (ls.loss_phase_aware, ls.loss_unnormalized):
+        expected = [fn(ref, states[i : i + 1]).per_instance[0] for i, ref in enumerate(direct)]
+        assert np.abs(fn(ctx, states).per_instance - expected).max() <= 1e-12
+    vqls = np.mean([ls.loss_vqls_standard(ref, states[i : i + 1]) for i, ref in enumerate(direct)])
+    assert abs(ls.loss_vqls_standard(ctx, states) - vqls) <= 1e-12
+    imag = [ls.imag_overlap_diagnostic(ref, states[i : i + 1])[0] for i, ref in enumerate(direct)]
+    assert np.abs(ls.imag_overlap_diagnostic(ctx, states) - imag).max() <= 1e-12
+    with pytest.raises(ConfigurationError):  # the per-term Pauli sums cover a fixed A only
+        ls.loss_phase_aware(ctx, states, per_term=True)
+    with pytest.raises(ContractViolation):
+        ls.build_loss_context(ctx.a_matrix, ctx.target_states, k_values=ctx.k_values)
+
+
+@st.composite
+def operator_contexts(draw):
+    """A fixed operator or a family B + k_i^2 C, with 1-3 instances on 1-3 qubits."""
+    dim = 1 << draw(st.integers(1, 3))
+    instances = draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+    raw = draw(hnp.arrays(float, (instances, dim), elements=entries))
+    assume(np.all(np.linalg.norm(raw, axis=1) > 1e-3))
+    b = draw(hnp.arrays(float, (dim, dim), elements=entries))
+    if not draw(st.booleans()):
+        return ls.build_loss_context(b, raw)
+    c = draw(hnp.arrays(float, (dim, dim), elements=entries))
+    ks = draw(hnp.arrays(float, (instances,), elements=st.floats(0.0, 3.0)))
+    return ls.build_loss_context(b, raw, parametric_parts=(b, c), k_values=ks)
+
+
+def complex_rows(ctx):
+    return hnp.arrays(
+        complex,
+        ctx.target_states.shape,
+        elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_instance_matrices(data):
+    ctx = data.draw(operator_contexts())
+    v, w = data.draw(complex_rows(ctx)), data.draw(complex_rows(ctx))
+    av = ls._apply(ctx, v)
+    adag_w = ls._apply(ctx, w, adjoint=True)
+    for i, mat in enumerate(instance_matrices(ctx)):
+        assert np.abs(av[i] - mat @ v[i]).max() <= 1e-12
+        assert np.abs(adag_w[i] - mat.conj().T @ w[i]).max() <= 1e-12
+        assert abs(np.vdot(av[i], w[i]) - np.vdot(v[i], adag_w[i])) <= 1e-12
+        solo = ls._apply(ctx, v[i][None, :], instances=[i])[0]
+        assert np.abs(solo - av[i]).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sign_flip_identity_over_operators(data):
+    ctx = data.draw(operator_contexts())
+    states = data.draw(complex_rows(ctx))
+    norms = np.linalg.norm(states, axis=1)
+    assume(np.all(norms > 1e-3))
+    states = states / norms[:, None]
+    applied = np.stack([mat @ s for mat, s in zip(instance_matrices(ctx), states)])
+    assume(np.all(np.linalg.norm(applied, axis=1) > 1e-4))
+    plus = ls.loss_phase_aware(ctx, states).per_instance
+    minus = ls.loss_phase_aware(ctx, -states).per_instance
+    assert np.abs(plus + minus - 2.0).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Parametric path
 
@@ -229,19 +326,8 @@ def _toy_pipeline(rng, n=3, instances=2):
     return ctx, program, net, feats
 
 
-@pytest.mark.parametrize("objective", ["unnormalized", "normalized", "vqls"])
-def test_grad_total_matches_finite_differences(objective, rng):
-    ctx, program, net, feats = _toy_pipeline(rng)
-    grads, _ = ls.grad_total(ctx, program, net, feats, objective=objective)
-
-    def total():
-        angles = np.stack([an.forward(net, f) for f in feats])
-        states = qsim.run_batch(program, angles)
-        if objective == "vqls":
-            return ls.loss_vqls_standard(ctx, states)
-        fn = ls.loss_unnormalized if objective == "unnormalized" else ls.loss_phase_aware
-        return fn(ctx, states).total
-
+def _worst_fd_gap(net, grads, total, rng):
+    """Worst relative gap between grads and central differences of total()."""
     h = 1e-6
     worst = 0.0
     for layer in range(2):
@@ -256,12 +342,48 @@ def test_grad_total_matches_finite_differences(objective, rng):
             fd = (up - down) / (2 * h)
             if abs(fd) > 1e-9:
                 worst = max(worst, abs(grads[layer][0].reshape(-1)[pick] - fd) / abs(fd))
-    assert worst <= 1e-4
+    return worst
+
+
+@pytest.mark.parametrize("objective", ["unnormalized", "normalized", "vqls"])
+def test_grad_total_matches_finite_differences(objective, rng):
+    ctx, program, net, feats = _toy_pipeline(rng)
+    grads, _ = ls.grad_total(ctx, program, net, feats, objective=objective)
+
+    def total():
+        angles = np.stack([an.forward(net, f) for f in feats])
+        states = qsim.run_batch(program, angles)
+        if objective == "vqls":
+            return ls.loss_vqls_standard(ctx, states)
+        fn = ls.loss_unnormalized if objective == "unnormalized" else ls.loss_phase_aware
+        return fn(ctx, states).total
+
+    assert _worst_fd_gap(net, grads, total, rng) <= 1e-4
+
+
+@pytest.mark.parametrize("objective", ["unnormalized", "normalized", "vqls"])
+def test_joint_grad_total_matches_per_instance_finite_differences(objective, rng):
+    ctx = joint_context(rng)
+    _, program, net, _ = _toy_pipeline(rng)
+    feats = [rng.standard_normal(5) for _ in range(ctx.n_instances)]
+    grads, _ = ls.grad_total(ctx, program, net, feats, objective=objective)
+    direct = instance_contexts(ctx)
+
+    def total():
+        states = qsim.run_batch(program, np.stack([an.forward(net, f) for f in feats]))
+        if objective == "vqls":
+            per = [ls.loss_vqls_standard(ref, states[i : i + 1]) for i, ref in enumerate(direct)]
+        else:
+            fn = ls.loss_unnormalized if objective == "unnormalized" else ls.loss_phase_aware
+            per = [fn(ref, states[i : i + 1]).total for i, ref in enumerate(direct)]
+        return float(np.mean(per))
+
+    assert _worst_fd_gap(net, grads, total, rng) <= 1e-5
 
 
 def test_gradient_modes_agree(rng):
     ctx, program, net, feats = _toy_pipeline(rng)
-    for objective in ("unnormalized", "normalized"):
+    for objective in ("unnormalized", "normalized", "vqls"):
         adj, val_a = ls.grad_total(ctx, program, net, feats, objective=objective)
         shift, val_s = ls.grad_total(
             ctx, program, net, feats, objective=objective, gradient_mode="parameter_shift"

@@ -3,10 +3,11 @@ import pytest
 
 from vqspectral import anglenet as an
 from vqspectral import loss as ls
+from vqspectral import pauli as pl
 from vqspectral import qsim
 from vqspectral import spectral as sp
 from vqspectral import training as tr
-from vqspectral.errors import ConfigurationError, DivergenceError
+from vqspectral.errors import ConfigurationError, DivergenceError, SingularSystemError
 
 BC_D = sp.BoundarySpec((sp.DirectionBC.dirichlet(),))
 BC_WAVE = sp.BoundarySpec((sp.DirectionBC.dirichlet(), sp.DirectionBC.initial_value()))
@@ -84,6 +85,16 @@ def test_joint_family_k_squared_draw():
     spec = tr.DatasetSpec("joint_k", 5, 0, seed=7, k_min=4.0, k_max=4.05, k_is_squared=True)
     dataset = tr.generate_dataset(spec, system)
     assert np.all((dataset.train.k_values**2 >= 4.0) & (dataset.train.k_values**2 < 4.05))
+
+
+def test_joint_truth_solve_rejects_singular_operator():
+    system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, 8)
+    b, c = system.parametric_parts
+    eigenvalues = np.linalg.eigvals(-np.linalg.solve(c, b)).real
+    k2 = eigenvalues[eigenvalues > 0].min()  # B + k2 C is singular
+    spec = tr.DatasetSpec("joint_k", 1, 0, seed=0, k_min=k2, k_max=k2, k_is_squared=True)
+    with pytest.raises(SingularSystemError):
+        tr.generate_dataset(spec, system)
 
 
 def test_feature_vector_prepends_k_squared():
@@ -196,7 +207,7 @@ def toy_net(seed=3):
 
 def test_toy_converges_within_500_steps():
     config = tr.TrainConfig(
-        objective="normalized", epochs=500, learning_rate=0.005, eval_every=100, seed=0
+        objective="normalized", epochs=500, learning_rate=0.005, eval_every=100
     )
     record = tr.train(config, toy_data(), toy_program(), toy_net())
     assert not record.aborted
@@ -205,7 +216,7 @@ def test_toy_converges_within_500_steps():
 
 def test_toy_loss_trend_is_monotone_after_burn_in():
     config = tr.TrainConfig(
-        objective="normalized", epochs=400, learning_rate=0.005, eval_every=1, seed=0
+        objective="normalized", epochs=400, learning_rate=0.005, eval_every=1
     )
     record = tr.train(config, toy_data(), toy_program(), toy_net())
     losses = np.array([row.train_loss for row in record.rows])
@@ -220,7 +231,7 @@ def test_toy_loss_trend_is_monotone_after_burn_in():
 
 def test_training_is_deterministic():
     config = tr.TrainConfig(
-        objective="normalized", epochs=120, learning_rate=0.01, eval_every=40, seed=0
+        objective="normalized", epochs=120, learning_rate=0.01, eval_every=40
     )
     rec1 = tr.train(config, toy_data(), toy_program(), toy_net(7))
     rec2 = tr.train(config, toy_data(), toy_program(), toy_net(7))
@@ -301,6 +312,31 @@ def test_checkpoint_reproduces_metrics(tmp_path):
     )
     assert final_eval["rel_l2"] == pytest.approx(record.rows[-1].test_rel_l2, abs=1e-12)
     assert final_eval["loss"] == pytest.approx(record.rows[-1].test_loss, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pde,family", [("helm1d", "trig_1d"), ("joint_helm", "joint_k")], ids=["fixed", "joint"]
+)
+def test_training_path_builds_no_pauli_data(pde, family, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Pauli data built on the training path")
+
+    for name in ("decompose", "adjoint_product", "normal_operator", "group_commuting"):
+        monkeypatch.setattr(pl, name, forbidden)
+        if hasattr(ls, name):
+            monkeypatch.setattr(ls, name, forbidden)
+    system = sp.assemble_system(pde, {"k_squared": 16.0}, BC_D, 8)
+    dataset = tr.generate_dataset(tr.DatasetSpec(family, 3, 2, seed=4), system)
+    program = qsim.build_hardware_efficient_ry(3, 2)
+    width = len(dataset.train.features[0]) + (dataset.train.k_values is not None)
+    spec = an.NetworkSpec((width,), (an.Dense(width, program.n_slots),))
+    net = an.init(spec, 0)
+    data = tr.TrainData.from_dataset(dataset, system, spec.input_shape)
+    _, value = ls.grad_total(data.ctx_train, program, net, data.train_features)
+    result = tr.evaluate_split(
+        data.ctx_test, program, net, data.test_features, data.test_truth, "unnormalized"
+    )
+    assert np.isfinite(value.total) and np.isfinite(result["rel_l2"])
 
 
 def test_run_record_roundtrip(tmp_path):
