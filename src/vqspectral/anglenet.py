@@ -105,11 +105,6 @@ class NetworkSpec:
         if len(shape) != 1:
             raise ConfigurationError("network must end with a dense layer")
 
-    @property
-    def output_dim(self) -> int:
-        last = self.layers[-1]
-        return last.out_dim
-
 
 @dataclass
 class NetworkState:
@@ -129,20 +124,21 @@ class NetworkState:
         )
 
 
+def _param_shapes(layer) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(weight shape, bias shape) of one layer."""
+    if isinstance(layer, Dense):
+        return (layer.out_dim, layer.in_dim), (layer.out_dim,)
+    return (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel), (layer.out_channels,)
+
+
 def init(spec: NetworkSpec, seed: int) -> NetworkState:
     """He-uniform weights for relu layers, Xavier-uniform otherwise; zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for layer in spec.layers:
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.in_dim, layer.out_dim
-            shape = (layer.out_dim, layer.in_dim)
-            bias_shape = (layer.out_dim,)
-        else:
-            fan_in = layer.in_channels * layer.kernel**2
-            fan_out = layer.out_channels * layer.kernel**2
-            shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            bias_shape = (layer.out_channels,)
+        shape, bias_shape = _param_shapes(layer)
+        fan_in = int(np.prod(shape[1:]))  # in_dim, or in_channels * kernel^2
+        fan_out = shape[0] * int(np.prod(shape[2:]))  # out_dim, or out_channels * kernel^2
         if layer.activation == "relu":
             limit = np.sqrt(6.0 / fan_in)
         else:
@@ -285,4 +281,7 @@ def load_checkpoint(path) -> NetworkState:
         spec = NetworkSpec(input_shape=tuple(meta["input_shape"]), layers=tuple(layers))
         weights = [data[f"w{i}"] for i in range(len(layers))]
         biases = [data[f"b{i}"] for i in range(len(layers))]
+    for i, layer in enumerate(layers):
+        if (weights[i].shape, biases[i].shape) != _param_shapes(layer):
+            raise ConfigurationError(f"checkpoint arrays w{i}/b{i} do not fit layer {i}: {layer}")
     return NetworkState(spec=spec, weights=weights, biases=biases)

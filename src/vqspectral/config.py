@@ -194,6 +194,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"unknown dataset family {cfg.family!r}")
     if cfg.n_modes < 2:
         raise ConfigurationError("n_modes must be >= 2")
+    for key in ("epochs", "eval_every"):
+        if getattr(cfg, key) < 1:
+            raise ConfigurationError(f"[train] {key} must be >= 1, got {getattr(cfg, key)}")
 
 
 def _fmt(value) -> str:

@@ -111,6 +111,17 @@ def _k_array(k_values) -> np.ndarray | None:
     return None if k_values is None else np.asarray(k_values, dtype=float)
 
 
+def _targets(raw_targets: np.ndarray, dim: int) -> dict:
+    """Unit target rows and their norms; rejects a dimension mismatch and zero rows."""
+    raw_targets = np.atleast_2d(np.asarray(raw_targets, dtype=float))
+    if raw_targets.shape[1] != dim:
+        raise ContractViolation("target dimension does not match the operator")
+    norms = np.linalg.norm(raw_targets, axis=1)
+    if np.any(norms < 1e-300):
+        raise ContractViolation("zero-norm target state")
+    return {"target_states": raw_targets / norms[:, None], "raw_norms": norms}
+
+
 def build_loss_context(
     matrix: np.ndarray,
     raw_targets: np.ndarray,
@@ -121,18 +132,11 @@ def build_loss_context(
 ) -> LossContext:
     """Normalize the targets against the operator; Pauli data is built on demand."""
     matrix = np.asarray(matrix)
-    raw_targets = np.atleast_2d(np.asarray(raw_targets, dtype=float))
-    if raw_targets.shape[1] != matrix.shape[0]:
-        raise ContractViolation("target dimension does not match the operator")
     if k_values is not None and parametric_parts is None:
         raise ContractViolation("wave numbers need a parametric operator")
-    norms = np.linalg.norm(raw_targets, axis=1)
-    if np.any(norms < 1e-300):
-        raise ContractViolation("zero-norm target state")
     return LossContext(
         a_matrix=matrix,
-        target_states=raw_targets / norms[:, None],
-        raw_norms=norms,
+        **_targets(raw_targets, matrix.shape[0]),
         system=system,
         parametric_parts=parametric_parts,
         k_values=_k_array(k_values),
@@ -153,13 +157,8 @@ def context_for_system(
 
 def with_targets(ctx: LossContext, raw_targets: np.ndarray, k_values=None) -> LossContext:
     """Same operator context, different instance set (e.g. held-out split)."""
-    raw_targets = np.atleast_2d(np.asarray(raw_targets, dtype=float))
-    norms = np.linalg.norm(raw_targets, axis=1)
     return dataclasses.replace(
-        ctx,
-        target_states=raw_targets / norms[:, None],
-        raw_norms=norms,
-        k_values=_k_array(k_values),
+        ctx, **_targets(raw_targets, ctx.a_matrix.shape[0]), k_values=_k_array(k_values)
     )
 
 

@@ -388,9 +388,6 @@ class SpectralSystem:
             out.append(lo + (hi - lo) * (quad.nodes + 1.0) / 2.0)
         return tuple(out)
 
-    def jacobians(self) -> tuple[float, ...]:
-        return tuple(2.0 / (hi - lo) for lo, hi in self.domains)
-
 
 def _kron2(slow: np.ndarray, fast: np.ndarray) -> np.ndarray:
     # flat index = j_slow * N_fast + k_fast

@@ -365,8 +365,9 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        for name in ("epochs", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
 

@@ -228,3 +228,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
     x = rng.standard_normal((1, 4, 4))
     assert np.array_equal(an.forward(net, x), an.forward(loaded, x))
+
+
+@pytest.mark.parametrize("key", ["w0", "b0", "w1", "b2"])
+def test_checkpoint_with_tampered_shapes_rejected(tmp_path, key):
+    spec = an.NetworkSpec(
+        (1, 4, 4),
+        (an.Conv2d(1, 2, 3, "relu"), an.Dense(2 * 4 * 4, 6, "gelu"), an.Dense(6, 3)),
+    )
+    path = tmp_path / "checkpoint.bin"
+    an.save_checkpoint(an.init(spec, 9), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[key] = arrays[key].reshape(-1)[:-1]  # flattened and one value short
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigurationError, match=key):
+        an.load_checkpoint(path)

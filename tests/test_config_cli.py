@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,16 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "wavelength" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("eval_every", 0), ("eval_every", -3), ("epochs", 0)])
+def test_nonpositive_train_counts_exit_two(tmp_path, capsys, key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINI_RUN_CFG, flags=re.M)
+    cfg_path = write_cfg(tmp_path, text)
+    argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--dry-run"]
+    assert cli.main(argv) == 2  # rejected at parse time, before the dry run prints
+    captured = capsys.readouterr()
+    assert key in captured.err and not captured.out
 
 
 def test_run_emits_artifacts(tmp_path, capsys):

@@ -191,6 +191,16 @@ def test_state_shape_checked():
         ls.loss_phase_aware(ctx, np.zeros((2, 4), dtype=complex))
 
 
+def test_zero_norm_targets_rejected():
+    with pytest.raises(ContractViolation):
+        ls.build_loss_context(np.eye(4), np.zeros((1, 4)))
+    ctx = identity_context()
+    with pytest.raises(ContractViolation):  # a held-out split gets the same check
+        ls.with_targets(ctx, np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ContractViolation):
+        ls.with_targets(ctx, np.ones((1, 8)))
+
+
 def test_joint_losses_use_instance_operator(rng):
     ctx = joint_context(rng)
     states = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))

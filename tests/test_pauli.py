@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vqspectral import pauli as pl
 from vqspectral import spectral as sp
 from vqspectral.errors import ContractViolation, TruncationDegenerateError
+
+from test_acceptance import BENCHMARK_OPERATORS
 
 
 def random_string(n, rng):
@@ -37,14 +42,20 @@ def test_single_qubit_matrices():
     assert np.array_equal(zi, np.kron(z, np.eye(2)))
 
 
-def test_product_phases_match_dense(rng):
-    for n in (1, 2, 3, 4):
-        for _ in range(250):
-            a = random_string(n, rng)
-            b = random_string(n, rng)
-            prod, phase = a.product(b)
-            dense = a.matrix() @ b.matrix()
-            assert np.abs(dense - phase * prod.matrix()).max() <= 1e-12
+@st.composite
+def string_pairs(draw):
+    n = draw(st.integers(1, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    a = pl.PauliString(n, draw(masks), draw(masks))
+    return a, pl.PauliString(n, draw(masks), draw(masks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(string_pairs())
+def test_product_phases_match_dense(pair):
+    a, b = pair
+    prod, phase = a.product(b)
+    assert np.array_equal(a.matrix() @ b.matrix(), phase * prod.matrix())
 
 
 def test_apply_matches_matrix(rng):
@@ -101,6 +112,24 @@ def test_reconstruction_random_complex(rng):
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     expansion = pl.decompose(mat)
     assert np.linalg.norm(expansion.to_matrix() - mat) <= 1e-12
+
+
+@st.composite
+def square_matrices(draw, n_qubits):
+    """Real or complex 2^n x 2^n matrices with exact zeros mixed in."""
+    dim = 1 << n_qubits
+    part = hnp.arrays(float, (dim, dim), elements=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    real = draw(part)
+    return real if draw(st.booleans()) else real + 1j * draw(part)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(square_matrices))
+def test_decompose_to_matrix_roundtrip(matrix):
+    expansion = pl.decompose(matrix)
+    scale = max(1.0, np.abs(matrix).max())
+    assert np.abs(expansion.to_matrix() - matrix).max() <= 1e-12 * scale
+    assert all(abs(c) > 1e-14 for _, c in expansion)
 
 
 def test_duplicate_strings_rejected():
@@ -296,3 +325,122 @@ def test_deserialize_rejects_garbage():
         pl.PauliExpansion.deserialize("")
     with pytest.raises(ContractViolation):
         pl.PauliExpansion.deserialize("XZ 1.0 0.0\nXYZ 1.0 0.0")
+
+
+# ---------------------------------------------------------------------------
+# Vectorized paths against the loop versions they replaced. The arithmetic is
+# the same, operation for operation, so the results must agree bit for bit.
+
+
+def _loop_walsh_hadamard(values):
+    out = values.copy()
+    h = 1
+    while h < out.shape[0]:
+        for start in range(0, out.shape[0], 2 * h):
+            a = out[start : start + h].copy()
+            b = out[start + h : start + 2 * h].copy()
+            out[start : start + h] = a + b
+            out[start + h : start + 2 * h] = a - b
+        h *= 2
+    return out
+
+
+def _loop_decompose(matrix, drop_tol=1e-14):
+    matrix = np.asarray(matrix).astype(complex)
+    dim = matrix.shape[0]
+    n = dim.bit_length() - 1
+    cols = np.arange(dim)
+    terms = []
+    for x in range(dim):
+        sums = _loop_walsh_hadamard(matrix[cols, cols ^ x])
+        for z in range(dim):
+            coef = pl._I_POWERS[(x & z).bit_count() % 4] * sums[z] / dim
+            if abs(coef) > drop_tol:
+                terms.append((pl.PauliString(n, x, z), complex(coef)))
+    return pl.PauliExpansion(n_qubits=n, terms=tuple(terms))
+
+
+def _loop_adjoint_product(left, right, drop_tol=1e-14):
+    acc = {}
+    for lstr, cl in left.terms:
+        for rstr, cr in right.terms:
+            prod, phase = lstr.product(rstr)
+            key = (prod.x_bits, prod.z_bits)
+            acc[key] = acc.get(key, 0.0) + np.conj(cl) * cr * phase
+    terms = [
+        (pl.PauliString(left.n_qubits, x, z), complex(acc[(x, z)]))
+        for (x, z) in sorted(acc)
+        if abs(acc[(x, z)]) > drop_tol
+    ]
+    return pl.PauliExpansion(n_qubits=left.n_qubits, terms=tuple(terms))
+
+
+def _loop_group_commuting(expansion):
+    order = sorted(range(len(expansion.terms)), key=lambda i: (-abs(expansion.terms[i][1]), i))
+    n = expansion.n_qubits
+    groups, bases = [], []
+    for idx in order:
+        letters = [expansion.terms[idx][0].letter(q) for q in range(n)]
+        for group, basis in zip(groups, bases):
+            if all(a == "I" or b == "I" or a == b for a, b in zip(letters, basis)):
+                group.append(idx)
+                basis[:] = [b if a == "I" else a for a, b in zip(letters, basis)]
+                break
+        else:
+            groups.append([idx])
+            bases.append(letters)
+    rotations = tuple("".join("Z" if b == "I" else b for b in basis) for basis in bases)
+    return tuple(tuple(g) for g in groups), rotations
+
+
+def _loop_to_matrix(expansion):
+    dim = 1 << expansion.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for string, coef in expansion.terms:
+        out += coef * string.matrix()
+    return out
+
+
+def assert_same_expansion(got, want):
+    assert [(s.x_bits, s.z_bits) for s, _ in got] == [(s.x_bits, s.z_bits) for s, _ in want]
+    assert [c for _, c in got] == [c for _, c in want]
+    assert got.serialize() == want.serialize()  # also pins the sign of zero parts
+
+
+def assert_matches_loop_versions(matrix, other):
+    expansion = pl.decompose(matrix)
+    assert_same_expansion(expansion, _loop_decompose(matrix))
+    right = pl.decompose(other)
+    for left_exp, right_exp in ((expansion, expansion), (expansion, right)):
+        product = pl.adjoint_product(left_exp, right_exp)
+        assert_same_expansion(product, _loop_adjoint_product(left_exp, right_exp))
+    for exp in (expansion, product):
+        grouping = pl.group_commuting(exp)
+        assert (grouping.groups, grouping.basis_rotations) == _loop_group_commuting(exp)
+        assert np.array_equal(exp.to_matrix(), _loop_to_matrix(exp))
+
+
+@pytest.mark.parametrize("index", range(len(BENCHMARK_OPERATORS)))
+def test_benchmark_operators_match_loop_versions(index):
+    pde, params, bc, n_modes = BENCHMARK_OPERATORS[index]
+    matrix = sp.assemble_system(pde, params, bc, n_modes).matrix
+    assert_matches_loop_versions(matrix, matrix.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_matrices_match_loop_versions(data):
+    n_qubits = data.draw(st.integers(1, 4))
+    matrices = square_matrices(n_qubits)
+    assert_matches_loop_versions(data.draw(matrices), data.draw(matrices))
+
+
+def test_adjoint_product_blocks_split_rows(monkeypatch, rng):
+    # blocks of one row, and blocks narrower than a row, sum as the loop does
+    left = pl.decompose(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    right = pl.decompose(rng.standard_normal((8, 8)))
+    want = _loop_adjoint_product(left, right)
+    for block in (1, len(right), 3 * len(right) - 1):
+        monkeypatch.setattr(pl, "_BLOCK", block)
+        assert_same_expansion(pl.adjoint_product(left, right), want)
+        assert np.array_equal(want.to_matrix(), _loop_to_matrix(want))

@@ -109,6 +109,12 @@ def test_unknown_family_rejected():
         tr.DatasetSpec("fourier", 1, 1, seed=0)
 
 
+@pytest.mark.parametrize("field", ["epochs", "eval_every"])
+def test_train_config_rejects_nonpositive_counts(field):
+    with pytest.raises(ConfigurationError, match=field):
+        tr.TrainConfig(**{field: 0})
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
