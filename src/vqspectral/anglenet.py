@@ -149,84 +149,81 @@ def init(spec: NetworkSpec, seed: int) -> NetworkState:
 
 
 def _conv_windows(padded: np.ndarray, kernel: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    """(D, C, H, W, k, k) windows of a zero-padded (D, C, H + k - 1, W + k - 1) batch."""
+    return np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
 
 
 def _forward_cached(state: NetworkState, features: np.ndarray):
+    """Batched forward pass: output (D, out_dim), per-layer (input, pre-activation), lead axes.
+
+    A single instance of shape ``input_shape`` runs as a batch of one; ``lead``
+    is () for it and (D,) for a batch, so callers reshape back with it.
+    """
     x = np.asarray(features, dtype=float)
-    if x.shape != state.spec.input_shape:
+    shape = state.spec.input_shape
+    lead = x.shape[: x.ndim - len(shape)]
+    if x.shape[len(lead) :] != shape or len(lead) > 1:
         raise ContractViolation(
-            f"features shaped {x.shape}, spec expects {state.spec.input_shape}"
+            f"features shaped {x.shape}, spec expects {shape} or (batch, *{shape})"
         )
+    x = x.reshape((-1,) + shape)
     cache = []
     for layer, w, b in zip(state.spec.layers, state.weights, state.biases):
         if isinstance(layer, Dense):
-            if x.ndim > 1:
-                cache.append(("flatten", x.shape))
-                x = x.reshape(-1)
-            pre = w @ x + b
-            cache.append(("dense", x, pre))
+            x = x.reshape(x.shape[0], layer.in_dim)
+            pre = x @ w.T + b
         else:
             pad = layer.kernel // 2
-            padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-            windows = _conv_windows(padded, layer.kernel)
-            pre = np.einsum("ocij,chwij->ohw", w, windows) + b[:, None, None]
-            cache.append(("conv", padded, pre))
+            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            pre = np.einsum("ocij,dchwij->dohw", w, _conv_windows(x, layer.kernel))
+            pre += b[:, None, None]
+        cache.append((x, pre))
         x = _activation(layer.activation, pre)
-    return x, cache
+    return x, cache, lead
 
 
 def forward(state: NetworkState, features: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one feature vector/grid."""
-    return _forward_cached(state, features)[0]
+    """Evaluate the network on one instance or on a (D, *input_shape) batch."""
+    out, _, lead = _forward_cached(state, features)
+    return out.reshape(lead + out.shape[1:])
 
 
 def backward(
     state: NetworkState, features: np.ndarray, output_cotangent: np.ndarray
 ) -> tuple[list, np.ndarray]:
-    """Exact gradients of <cotangent, output> for every weight and bias.
+    """Exact gradients of sum_d <cotangent_d, output_d> for every weight and bias.
 
-    Returns (grads, input_gradient) where grads is a list of (dW, db) pairs
-    aligned with the layers.
+    Takes one instance or a (D, *input_shape) batch with cotangents shaped
+    like the output. Returns (grads, input_gradient): grads is a list of
+    (dW, db) pairs aligned with the layers, summed over the batch, and the
+    input gradient has one row per instance.
     """
-    out, cache = _forward_cached(state, features)
+    out, cache, lead = _forward_cached(state, features)
     delta = np.asarray(output_cotangent, dtype=float)
-    if delta.shape != out.shape:
+    if delta.shape != lead + out.shape[1:]:
         raise ContractViolation("cotangent shape mismatch")
     grads: list = [None] * len(state.spec.layers)
-    entries = list(cache)
-    layer_idx = len(state.spec.layers) - 1
-    while entries:
-        entry = entries.pop()
-        if entry[0] == "flatten":
-            delta = delta.reshape(entry[1])
+    for idx in reversed(range(len(state.spec.layers))):
+        layer, w = state.spec.layers[idx], state.weights[idx]
+        x_in, pre = cache[idx]
+        delta = delta.reshape(pre.shape) * _activation_deriv(layer.activation, pre)
+        if isinstance(layer, Dense):
+            grads[idx] = (delta.T @ x_in, delta.sum(axis=0))
+            delta = delta @ w
             continue
-        layer = state.spec.layers[layer_idx]
-        w = state.weights[layer_idx]
-        if entry[0] == "dense":
-            _, x_in, pre = entry
-            delta = delta * _activation_deriv(layer.activation, pre)
-            grads[layer_idx] = (np.outer(delta, x_in), delta.copy())
-            delta = w.T @ delta
-        else:
-            _, padded, pre = entry
-            delta = delta * _activation_deriv(layer.activation, pre)
-            k = layer.kernel
-            pad = k // 2
-            windows = _conv_windows(padded, k)
-            dw = np.einsum("ohw,chwij->ocij", delta, windows)
-            db = delta.sum(axis=(1, 2))
-            grads[layer_idx] = (dw, db)
-            dpadded = np.zeros_like(padded)
-            h, wd = delta.shape[1], delta.shape[2]
-            for di in range(k):
-                for dj in range(k):
-                    dpadded[:, di : di + h, dj : dj + wd] += np.einsum(
-                        "ohw,oc->chw", delta, w[:, :, di, dj]
-                    )
-            delta = dpadded[:, pad : pad + h, pad : pad + wd] if pad else dpadded
-        layer_idx -= 1
-    return grads, delta
+        k = layer.kernel
+        pad = k // 2
+        dw = np.einsum("dohw,dchwij->ocij", delta, _conv_windows(x_in, k))
+        grads[idx] = (dw, delta.sum(axis=(0, 2, 3)))
+        dpadded = np.zeros_like(x_in)
+        h, wd = delta.shape[2], delta.shape[3]
+        for di in range(k):
+            for dj in range(k):
+                dpadded[:, :, di : di + h, dj : dj + wd] += np.einsum(
+                    "dohw,oc->dchw", delta, w[:, :, di, dj]
+                )
+        delta = dpadded[:, :, pad : pad + h, pad : pad + wd]
+    return grads, delta.reshape(lead + state.spec.input_shape)
 
 
 def save_checkpoint(state: NetworkState, path) -> None:

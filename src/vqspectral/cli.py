@@ -78,21 +78,15 @@ def _build_program(cfg: ExperimentConfig, n_qubits: int) -> qsim.GateProgram:
     return qsim.build_strongly_entangling(n_qubits, cfg.layers)
 
 
-def _build_network_spec(cfg: ExperimentConfig, sample_feature, n_slots: int) -> anglenet.NetworkSpec:
-    feature = np.asarray(sample_feature)
+def _build_network_spec(cfg: ExperimentConfig, input_shape, n_slots: int) -> anglenet.NetworkSpec:
     layers: list = []
+    in_dim = int(np.prod(input_shape))
     if cfg.conv_channels:
-        if feature.ndim != 3:
-            raise ConfigurationError("conv_channels requires grid-shaped features")
-        channels = feature.shape[0]
+        channels = input_shape[0]
         for out_channels in cfg.conv_channels:
             layers.append(anglenet.Conv2d(channels, out_channels, cfg.conv_kernel, cfg.activation))
             channels = out_channels
-        in_dim = channels * feature.shape[1] * feature.shape[2]
-        input_shape = feature.shape
-    else:
-        in_dim = int(np.prod(feature.shape))
-        input_shape = (in_dim,)
+        in_dim = channels * input_shape[1] * input_shape[2]
     for width in cfg.hidden:
         layers.append(anglenet.Dense(in_dim, width, cfg.activation))
         in_dim = width
@@ -129,7 +123,9 @@ def _train_config(cfg: ExperimentConfig) -> training.TrainConfig:
 def _feature_input_shape(cfg: ExperimentConfig, split: training.Split):
     natural = np.asarray(split.features[0])
     if cfg.conv_channels:
-        return (1, natural.shape[0], natural.shape[1])
+        if natural.ndim != 2:
+            raise ConfigurationError("[network] conv_channels requires grid-shaped features")
+        return (1,) + natural.shape
     extra = 1 if split.k_values is not None else 0
     return (int(np.prod(natural.shape)) + extra,)
 
@@ -140,11 +136,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     dataset = training.generate_dataset(_dataset_spec(cfg), system)
     input_shape = _feature_input_shape(cfg, dataset.train)
     program = _build_program(cfg, n_qubits)
-    net_spec = _build_network_spec(
-        cfg, training.feature_vector(dataset.train, 0, input_shape), program.n_slots
-    )
-    net = anglenet.init(net_spec, cfg.net_seed)
-    data = training.TrainData.from_dataset(dataset, system, net_spec.input_shape)
+    net = anglenet.init(_build_network_spec(cfg, input_shape, program.n_slots), cfg.net_seed)
+    data = training.TrainData.from_dataset(dataset, system, input_shape)
     record = training.train(_train_config(cfg), data, program, net)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,11 +296,12 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
         training.DatasetSpec(family=cfg.family, n_train=1, n_test=0, seed=cfg.data_seed),
         system,
     )
-    rhs = dataset.train.raw_targets[0]
     truth = dataset.train.truth[0]
     alpha_unit = truth.coefficients / np.linalg.norm(truth.coefficients)
     program = _build_program(cfg, n_qubits)
-    ctx = loss_mod.context_for_system(system, rhs[None, :])
+    input_shape = _feature_input_shape(_with(cfg, conv_channels=()), dataset.train)
+    data = training.TrainData.from_dataset(dataset, system, input_shape)
+    ctx = data.ctx_train
 
     theta_star = _prepare_state_angles(program, -alpha_unit.astype(complex), seed=cfg.net_seed)
     u_ref = truth.nodal_values.reshape(-1)
@@ -324,11 +318,9 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
     identity_residual = abs(lp + lm - 2.0)
 
     for seed in range(cfg.signflip_seeds):
-        overlap_std = _signflip_arm(
-            cfg, ctx, program, dataset, theta_star, u_ref, seed, objective="vqls"
-        )
+        overlap_std = _signflip_arm(cfg, data, program, theta_star, u_ref, seed, objective="vqls")
         overlap_pa = _signflip_arm(
-            cfg, ctx, program, dataset, theta_star, u_ref, seed, objective="normalized"
+            cfg, data, program, theta_star, u_ref, seed, objective="normalized"
         )
         rows.append((seed, overlap_std, overlap_pa, identity_residual))
         print(
@@ -358,36 +350,35 @@ def _prepare_state_angles(
     adam = training.AdamState.for_params(params)
     for _ in range(iters):
         psi = qsim.run_batch(program, theta[None, :])
-        lam = psi[0] - target
-        grad = qsim.adjoint_gradient(program, theta[None, :], lam[None, :])[0]
+        grad = qsim.adjoint_gradient(program, theta[None, :], psi, psi - target)[0]
         training.adam_step(adam, params, [grad], lr=lr)
     return theta
 
 
-def _signflip_arm(cfg, ctx, program, dataset, theta_star, u_ref, seed, objective) -> float:
+def _signflip_arm(cfg, data, program, theta_star, u_ref, seed, objective) -> float:
+    """Train one single-layer network from near theta_star; overlap of its solution with u_ref."""
     rng = np.random.default_rng(seed)
-    input_shape = _feature_input_shape(_with(cfg, conv_channels=()), dataset.train)
-    feature = training.feature_vector(dataset.train, 0, input_shape)
+    input_shape = data.train_features.shape[1:]
     spec = anglenet.NetworkSpec(
         input_shape, (anglenet.Dense(input_shape[0], program.n_slots),)
     )
     net = anglenet.init(spec, seed)
     net.weights[0][...] = 0.0
     net.biases[0][...] = theta_star + 0.05 * rng.standard_normal(program.n_slots)
-    params = training._net_params(net)
-    adam = training.AdamState.for_params(params)
-    for _ in range(cfg.epochs):
-        grads, _ = loss_mod.grad_total(
-            ctx, program, net, [feature], objective=objective, gradient_mode=cfg.gradient_mode
-        )
-        training.adam_step(
-            adam, params, training._flatten_grads(grads), lr=cfg.learning_rate
-        )
-    theta = anglenet.forward(net, feature)
-    psi = qsim.run(program, theta)
+    config = training.TrainConfig(
+        objective=objective,
+        learning_rate=cfg.learning_rate,
+        epochs=cfg.epochs,
+        eval_every=cfg.epochs,
+        gradient_mode=cfg.gradient_mode,
+    )
+    record = training.train(config, data, program, net)
+    if record.aborted:
+        raise VqSpectralError(f"sign-flip arm {objective!r}, seed {seed}: {record.abort_reason}")
+    psi = qsim.run(program, anglenet.forward(net, data.train_features[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec = loss_mod.recover_solution(psi, ctx, 0)
+        rec = loss_mod.recover_solution(psi, data.ctx_train, 0)
     u_hat = rec.nodal_values.reshape(-1)
     u_hat = u_hat / np.linalg.norm(u_hat)
     return float(u_ref @ u_hat)

@@ -175,6 +175,17 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+# (section, key, smallest allowed value) of the integer settings
+_LOWER_BOUNDS = (
+    ("circuit", "layers", 1),
+    ("dataset", "train_size", 1),
+    ("dataset", "test_size", 0),
+    ("train", "epochs", 1),
+    ("train", "eval_every", 1),
+    ("study", "signflip_seeds", 1),
+)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.pde not in BENCHMARK_PDES:
         raise ConfigurationError(f"unknown pde {cfg.pde!r}")
@@ -194,9 +205,20 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"unknown dataset family {cfg.family!r}")
     if cfg.n_modes < 2:
         raise ConfigurationError("n_modes must be >= 2")
-    for key in ("epochs", "eval_every"):
-        if getattr(cfg, key) < 1:
-            raise ConfigurationError(f"[train] {key} must be >= 1, got {getattr(cfg, key)}")
+    for section, key, low in _LOWER_BOUNDS:
+        value = getattr(cfg, _field_name(section, key))
+        if not value >= low:
+            raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {value}")
+    if not cfg.learning_rate > 0:
+        raise ConfigurationError(f"[train] learning_rate must be > 0, got {cfg.learning_rate}")
+    if any(width < 1 for width in cfg.hidden):
+        raise ConfigurationError(f"[network] hidden widths must be >= 1, got {_fmt(cfg.hidden)}")
+    if not cfg.k_min <= cfg.k_max:
+        raise ConfigurationError(f"[dataset] k_min {cfg.k_min} exceeds k_max {cfg.k_max}")
+    if cfg.k_is_squared and not cfg.k_min >= 0:
+        raise ConfigurationError(
+            f"[dataset] k_min must be >= 0 when k_is_squared = true, got {cfg.k_min}"
+        )
 
 
 def _fmt(value) -> str:

@@ -307,21 +307,20 @@ def grad_total(
 ):
     """Mean-over-batch network-parameter gradients of the chosen objective.
 
-    The chain runs features -> angles (network) -> state (circuit) -> loss.
-    "adjoint" differentiates the statevector exactly in reverse; the
-    "parameter_shift" mode reproduces the same d(loss)/d(angle) from shifted
-    circuit evaluations (expectations at +-pi/2 divided by 2, linear overlaps
-    divided by 2*sqrt(2)), all 2 * n_slots shifts of every instance in one
-    batch. Returns (grads, LossValue) with grads shaped like the network
-    parameters.
+    The chain runs features -> angles (network) -> state (circuit) -> loss,
+    each stage once on the whole batch; batch_features is shaped
+    (D, *input_shape). "adjoint" differentiates the statevector exactly in
+    reverse from the forward states; the "parameter_shift" mode reproduces the
+    same d(loss)/d(angle) from shifted circuit evaluations (expectations at
+    +-pi/2 divided by 2, linear overlaps divided by 2*sqrt(2)), all
+    2 * n_slots shifts of every instance in one batch. Returns
+    (grads, LossValue) with grads shaped like the network parameters.
     """
     d = ctx.n_instances
-    features = list(batch_features)
-    if len(features) != d:
-        raise ContractViolation("feature batch size does not match the context")
-    angles = np.stack([anglenet.forward(net, f) for f in features])
-    if angles.shape[1] != program.n_slots:
-        raise ContractViolation("network output does not match circuit slot count")
+    features = np.asarray(batch_features, dtype=float)
+    angles = anglenet.forward(net, features)
+    if angles.shape != (d, program.n_slots):
+        raise ContractViolation(f"angles shaped {angles.shape}, expected ({d}, {program.n_slots})")
     states = qsim.run_batch(program, angles)
     applied = _apply(ctx, states)
     overlap, beta = _overlap_beta(ctx, applied)
@@ -330,7 +329,7 @@ def grad_total(
 
     if gradient_mode == "adjoint":
         cot = _apply(ctx, u[:, None] * ctx.target_states + v[:, None] * applied, adjoint=True)
-        dtheta = qsim.adjoint_gradient(program, angles, cot)
+        dtheta = qsim.adjoint_gradient(program, angles, states, cot)
     elif gradient_mode == "parameter_shift":
         s = program.n_slots
         shifts = (np.pi / 2.0) * np.concatenate([np.eye(s), -np.eye(s)])
@@ -342,16 +341,7 @@ def grad_total(
     else:
         raise ConfigurationError(f"unknown gradient mode {gradient_mode!r}")
 
-    grads = None
-    for i in range(d):
-        g_i, _ = anglenet.backward(net, features[i], dtheta[i])
-        if grads is None:
-            grads = [(dw.copy(), db.copy()) for dw, db in g_i]
-        else:
-            for acc, (dw, db) in zip(grads, g_i):
-                acc[0][...] += dw
-                acc[1][...] += db
-    grads = [(dw / d, db / d) for dw, db in grads]
+    grads, _ = anglenet.backward(net, features, dtheta / d)  # the batch mean's cotangent
     return grads, value
 
 

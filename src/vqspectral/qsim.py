@@ -297,24 +297,25 @@ _GENERATORS = {"ry": "Y", "rz": "Z"}
 
 
 def adjoint_gradient(
-    program: GateProgram, angles: np.ndarray, cotangents: np.ndarray
+    program: GateProgram, angles: np.ndarray, states: np.ndarray, cotangents: np.ndarray
 ) -> np.ndarray:
-    """Exact reverse-mode d L / d theta for a batch.
+    """Exact reverse-mode d L / d theta for a batch (Jones & Gacon, arXiv:2009.02823).
 
-    cotangents holds dL/d(conj psi) per batch row, i.e. dL = 2 Re(lambda^dag
-    d psi). Walks the gate list backwards, undoing each gate on both the state
-    and the cotangent; for a rotation with generator P the slot gradient is
-    Im(lambda^dag P psi) evaluated with the gate still applied.
+    states are the forward outputs run_batch(program, angles), which the
+    caller already holds; cotangents hold dL/d(conj psi) per batch row, i.e.
+    dL = 2 Re(lambda^dag d psi). Walks the gate list backwards, undoing each
+    gate on both the state and the cotangent; for a rotation with generator P
+    the slot gradient is Im(lambda^dag P psi) evaluated with the gate still
+    applied.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != program.n_slots:
         raise ContractViolation("angles must be shaped (batch, n_slots)")
     n = program.n_qubits
-    phi = run_batch(program, angles)
+    phi = np.asarray(states, dtype=complex)
     lam = np.asarray(cotangents, dtype=complex)
-    if lam.shape != phi.shape:
-        raise ContractViolation("cotangents must match the batch of states")
-    lam = lam.copy()
+    if not phi.shape == lam.shape == (angles.shape[0], 1 << n):
+        raise ContractViolation("states and cotangents must be shaped (batch, 2^n)")
     grads = np.zeros_like(angles)
     for gate in reversed(program.gates):
         if gate.kind in _GENERATORS:

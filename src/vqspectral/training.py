@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import anglenet, loss as loss_mod, qsim
-from .errors import ConfigurationError, ContractViolation, DivergenceError
+from .errors import ConfigurationError, ContractViolation, DivergenceError, VqSpectralError
 from .spectral import SpectralSystem, classical_solve, forward_transform, metrics
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "Split",
     "Dataset",
     "generate_dataset",
-    "feature_vector",
+    "feature_batch",
     "trig_forcing_1d",
     "trig_forcing_2d",
     "wave_forcing",
@@ -77,6 +77,10 @@ class DatasetSpec:
             raise ConfigurationError(f"unknown dataset family {self.family!r}")
         if self.n_train < 1 or self.n_test < 0:
             raise ConfigurationError("dataset sizes must be positive")
+        if not self.k_min <= self.k_max:
+            raise ConfigurationError(f"k_min {self.k_min} exceeds k_max {self.k_max}")
+        if self.k_is_squared and not self.k_min >= 0:
+            raise ConfigurationError(f"k_min {self.k_min} is a negative k^2")
 
 
 @dataclass
@@ -167,30 +171,32 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
     return Dataset(spec=spec, train=train, test=test, resample_count=resamples)
 
 
-def feature_vector(split: Split, index: int, input_shape: tuple[int, ...]) -> np.ndarray:
-    """Adapt stored forcing data to the network's input shape.
+def feature_batch(split: Split, input_shape: tuple[int, ...]) -> np.ndarray:
+    """Adapt a split's stored forcing data to the network input: (D, *input_shape).
 
     Flat inputs get the flattened samples, with the instance coefficient k^2
-    prepended for joint families; 3-axis inputs reshape a grid to (1, H, W).
+    prepended for joint families; 3-axis inputs reshape each grid to (1, H, W).
     """
-    natural = np.asarray(split.features[index], dtype=float)
+    input_shape = tuple(input_shape)
+    if not split.features:
+        return np.zeros((0,) + input_shape)
+    natural = np.asarray(split.features, dtype=float)
+    d = natural.shape[0]
     if len(input_shape) == 1:
-        flat = natural.reshape(-1)
+        batch = natural.reshape(d, -1)
         if split.k_values is not None:
-            flat = np.concatenate(([split.k_values[index] ** 2], flat))
-        if flat.shape[0] != input_shape[0]:
-            raise ContractViolation(
-                f"instance features have length {flat.shape[0]}, network expects {input_shape[0]}"
-            )
-        return flat
-    if natural.ndim != 2:
+            batch = np.concatenate((np.square(split.k_values)[:, None], batch), axis=1)
+    elif natural.ndim != 3:
         raise ConfigurationError("grid input requested for non-grid features")
-    if split.k_values is not None:
+    elif split.k_values is not None:
         raise ConfigurationError("joint coefficients require a flat feature vector")
-    grid = natural[None, :, :]
-    if grid.shape != input_shape:
-        raise ContractViolation(f"grid {grid.shape} does not match input {input_shape}")
-    return grid
+    else:
+        batch = natural[:, None, :, :]
+    if batch.shape[1:] != input_shape:
+        raise ContractViolation(
+            f"instance features shaped {batch.shape[1:]}, network expects {input_shape}"
+        )
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +360,7 @@ def lbfgs_minimize(closure, x0: np.ndarray, max_iter: int = 100, m: int = 10, gt
 
 @dataclass(frozen=True)
 class TrainConfig:
-    objective: str = "unnormalized"  # unnormalized | normalized
+    objective: str = "unnormalized"  # unnormalized | normalized | vqls
     optimizer: str = "adam"  # adam | lbfgs
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -399,8 +405,8 @@ class RunRecord:
 class TrainData:
     ctx_train: loss_mod.LossContext
     ctx_test: loss_mod.LossContext
-    train_features: list
-    test_features: list
+    train_features: np.ndarray  # (D_train, *input_shape)
+    test_features: np.ndarray  # (D_test, *input_shape)
     train_truth: list
     test_truth: list
 
@@ -414,35 +420,30 @@ class TrainData:
         ctx_test = loss_mod.with_targets(
             ctx_train, dataset.test.raw_targets, k_values=dataset.test.k_values
         )
-        train_feats = [
-            feature_vector(dataset.train, i, input_shape) for i in range(len(dataset.train.truth))
-        ]
-        test_feats = [
-            feature_vector(dataset.test, i, input_shape) for i in range(len(dataset.test.truth))
-        ]
         return TrainData(
             ctx_train=ctx_train,
             ctx_test=ctx_test,
-            train_features=train_feats,
-            test_features=test_feats,
+            train_features=feature_batch(dataset.train, input_shape),
+            test_features=feature_batch(dataset.test, input_shape),
             train_truth=dataset.train.truth,
             test_truth=dataset.test.truth,
         )
 
 
 def _split_loss(ctx, states, objective):
+    if objective == "vqls":
+        return loss_mod.loss_vqls_standard(ctx, states)
     fn = loss_mod.loss_unnormalized if objective == "unnormalized" else loss_mod.loss_phase_aware
     return fn(ctx, states).total
 
 
 def evaluate_split(ctx, program, net, features, truths, objective):
-    """Loss plus solution-error metrics of one split under the current net."""
+    """Loss plus solution-error metrics of one split, features shaped (D, *input_shape)."""
     import warnings as _warnings
 
-    if not features:
+    if len(features) == 0:
         return {"loss": float("nan"), "rel_l2": float("nan"), "rel_linf": float("nan"), "mae": float("nan")}
-    angles = np.stack([anglenet.forward(net, f) for f in features])
-    states = qsim.run_batch(program, angles)
+    states = qsim.run_batch(program, anglenet.forward(net, features))
     total = _split_loss(ctx, states, objective)
     rel2, relinf, mae = [], [], []
     with _warnings.catch_warnings():
@@ -466,22 +467,6 @@ def evaluate_split(ctx, program, net, features, truths, objective):
     }
 
 
-def _net_params(net: anglenet.NetworkState) -> list:
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def _flatten_grads(grads) -> list:
-    out = []
-    for dw, db in grads:
-        out.append(dw)
-        out.append(db)
-    return out
-
-
 def _check_loss(total: float) -> None:
     if not np.isfinite(total) or total > 1e6:
         raise DivergenceError(f"loss diverged to {total:.3e}")
@@ -495,15 +480,17 @@ def train(
 ) -> RunRecord:
     """Full-batch training with periodic evaluation against the oracle.
 
-    Checkpoints the network at the best test relative-L2 error; aborts with a
-    partial record if the loss diverges past 1e6 or turns non-finite.
+    Checkpoints the network at the best test relative-L2 error. A step that
+    fails with a package error (the loss diverging past 1e6 or turning
+    non-finite, a degenerate denominator, ...) ends the run with a partial
+    record; a ConfigurationError propagates.
     """
     start = time.perf_counter()
     rows: list[EpochRow] = []
     best = (np.inf, 0, net.copy())  # (test rel L2, epoch, snapshot)
     aborted, reason = False, ""
 
-    params = _net_params(net)
+    params = [p for pair in zip(net.weights, net.biases) for p in pair]
 
     def record(epoch: int) -> None:
         nonlocal best
@@ -538,7 +525,7 @@ def train(
             objective=config.objective,
             gradient_mode=config.gradient_mode,
         )
-        return value.total, _flatten_grads(grads)
+        return value.total, [g for pair in grads for g in pair]
 
     if config.optimizer == "lbfgs":
         shapes = [p.shape for p in params]
@@ -558,10 +545,13 @@ def train(
             total, grads = gradient()
             return total, np.concatenate([g.reshape(-1) for g in grads])
 
-        f0, g0 = closure(pack())
-        lbfgs = LbfgsState(x=pack(), f=f0, g=g0, m=10)
+        lbfgs = None
 
         def step() -> None:
+            nonlocal lbfgs
+            if lbfgs is None:  # the first evaluation belongs to epoch 1
+                f0, g0 = closure(pack())
+                lbfgs = LbfgsState(x=pack(), f=f0, g=g0, m=10)
             lbfgs_step(lbfgs, closure)
             unpack(lbfgs.x)
             _check_loss(lbfgs.f)
@@ -585,7 +575,9 @@ def train(
     for epoch in range(1, config.epochs + 1):
         try:
             step()
-        except DivergenceError as err:
+        except ConfigurationError:
+            raise
+        except VqSpectralError as err:
             aborted, reason = True, f"{err} at epoch {epoch}"
             break
         if epoch % config.eval_every == 0 or epoch == config.epochs:

@@ -61,6 +61,22 @@ def random_program(n: int, rng: np.random.Generator, max_gates: int = 14) -> qsi
     return qsim.GateProgram(n, tuple(gates), slot)
 
 
+def fail_grad_total_at(monkeypatch, error, call):
+    """Make loss.grad_total raise error on its call-th call (1-based)."""
+    from vqspectral import loss
+
+    calls = []
+    real = loss.grad_total
+
+    def grad_total(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(loss, "grad_total", grad_total)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

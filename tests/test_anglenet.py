@@ -166,6 +166,62 @@ def test_input_gradient_matches_finite_differences(rng):
 
 
 # ---------------------------------------------------------------------------
+# Batches
+
+
+def conv_spec():
+    return an.NetworkSpec(
+        (1, 5, 5),
+        (
+            an.Conv2d(1, 3, 3, "gelu"),
+            an.Conv2d(3, 2, 3, "relu"),
+            an.Dense(2 * 5 * 5, 8, "gelu"),
+            an.Dense(8, 4),
+        ),
+    )
+
+
+def _rel_gap(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_batch_matches_per_instance(kind, rng):
+    spec = dense_spec(7, 12, 8, 5) if kind == "dense" else conv_spec()
+    net = an.init(spec, 3)
+    batch = 6
+    x = rng.standard_normal((batch,) + spec.input_shape)
+    cot = rng.standard_normal((batch, spec.layers[-1].out_dim))
+
+    out = an.forward(net, x)
+    singles = [an.backward(net, x[i], cot[i]) for i in range(batch)]
+    grads, dx = an.backward(net, x, cot)
+    assert out.shape == cot.shape and dx.shape == x.shape
+    for i, (_, dx_i) in enumerate(singles):
+        assert _rel_gap(out[i], an.forward(net, x[i])) <= 1e-13
+        assert _rel_gap(dx[i], dx_i) <= 1e-13
+    for layer, (dw, db) in enumerate(grads):
+        assert _rel_gap(dw, sum(g[layer][0] for g, _ in singles)) <= 1e-13
+        assert _rel_gap(db, sum(g[layer][1] for g, _ in singles)) <= 1e-13
+
+
+def test_single_instance_keeps_unbatched_shapes(rng):
+    net = an.init(conv_spec(), 1)
+    x = rng.standard_normal((1, 5, 5))
+    grads, dx = an.backward(net, x, rng.standard_normal(4))
+    assert an.forward(net, x).shape == (4,) and dx.shape == (1, 5, 5)
+    assert all(dw.shape == w.shape for (dw, _), w in zip(grads, net.weights))
+
+
+def test_batch_shape_mismatches_rejected(rng):
+    net = an.init(dense_spec(4, 2), 0)
+    with pytest.raises(ContractViolation):
+        an.forward(net, np.zeros((2, 3, 4)))  # two leading axes
+    with pytest.raises(ContractViolation):
+        an.backward(net, np.zeros((3, 4)), np.zeros((2, 2)))  # cotangent rows
+
+
+# ---------------------------------------------------------------------------
 # Activations
 
 

@@ -13,6 +13,8 @@ from vqspectral.config import (
 )
 from vqspectral.errors import ConfigurationError
 
+from conftest import fail_grad_total_at
+
 GOLDEN = Path(__file__).parent / "golden"
 
 MINI_RUN_CFG = """
@@ -133,14 +135,61 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("eval_every", 0), ("eval_every", -3), ("epochs", 0)])
-def test_nonpositive_train_counts_exit_two(tmp_path, capsys, key, value):
-    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINI_RUN_CFG, flags=re.M)
+def _exits_two_naming(tmp_path, capsys, text, name):
     cfg_path = write_cfg(tmp_path, text)
     argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--dry-run"]
     assert cli.main(argv) == 2  # rejected at parse time, before the dry run prints
     captured = capsys.readouterr()
-    assert key in captured.err and not captured.out
+    assert name in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("eval_every", 0),
+        ("eval_every", -3),
+        ("epochs", 0),
+        ("train_size", 0),
+        ("test_size", -1),
+        ("layers", 0),
+        ("learning_rate", 0),
+        ("hidden", "24,0"),
+        ("signflip_seeds", 0),
+    ],
+)
+def test_nonpositive_train_counts_exit_two(tmp_path, capsys, key, value):
+    text = MINI_RUN_CFG + "\n[study]\nsignflip_seeds = 10\n"
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    _exits_two_naming(tmp_path, capsys, text, key)
+
+
+@pytest.mark.parametrize(
+    "k_lines",
+    ["k_min = 5.0\nk_max = 4.0", "k_min = -1.0\nk_is_squared = true"],
+    ids=["reversed", "negative_k2"],
+)
+def test_bad_k_range_exits_two(tmp_path, capsys, k_lines):
+    text = MINI_RUN_CFG.replace("[dataset]\n", f"[dataset]\n{k_lines}\n")
+    _exits_two_naming(tmp_path, capsys, text, "[dataset] k_min")
+
+
+def test_failed_run_keeps_record_and_exits_one(tmp_path, monkeypatch, capsys):
+    from vqspectral.errors import DegenerateDenominatorError
+
+    error = DegenerateDenominatorError("injected vanishing denominator")
+    fail_grad_total_at(monkeypatch, error, 3)  # Adam calls grad_total once per epoch
+    out_dir = tmp_path / "run"
+    assert cli.cmd_run(parse_config_text(MINI_RUN_CFG), out_dir) == 1
+    for name in ("run_record.csv", "checkpoint.bin", "checkpoint_final.bin"):
+        assert (out_dir / name).exists()
+    assert "injected vanishing denominator at epoch 3" in capsys.readouterr().err
+
+
+def test_conv_network_on_flat_features_exits_two(tmp_path, capsys):
+    text = MINI_RUN_CFG.replace("hidden = 24\n", "hidden = 24\nconv_channels = 2\n")
+    cfg_path = write_cfg(tmp_path, text)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "conv_channels" in capsys.readouterr().err
 
 
 def test_run_emits_artifacts(tmp_path, capsys):

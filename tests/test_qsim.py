@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqspectral import pauli as pl
 from vqspectral import qsim
@@ -227,10 +229,58 @@ def test_adjoint_gradient_matches_shift(rng):
     angles = rng.uniform(0, 2 * np.pi, (2, program.n_slots))
     states = qsim.run_batch(program, angles)
     cotangents = np.stack([dense @ states[i] for i in range(2)])  # dE/d(conj psi)
-    adj = qsim.adjoint_gradient(program, angles, cotangents)
+    adj = qsim.adjoint_gradient(program, angles, states, cotangents)
     for i in range(2):
         shift = qsim.grad_parameter_shift(program, angles[i], observable)
         assert np.abs(adj[i] - shift).max() <= 1e-8 * max(1.0, np.abs(shift).max())
+
+
+def test_adjoint_gradient_rejects_mismatched_states(rng):
+    program = qsim.build_hardware_efficient_ry(2, 1)
+    angles = rng.uniform(0, 2 * np.pi, (2, program.n_slots))
+    states = qsim.run_batch(program, angles)
+    with pytest.raises(ContractViolation):
+        qsim.adjoint_gradient(program, angles, states[:1], states)
+    with pytest.raises(ContractViolation):
+        qsim.adjoint_gradient(program, angles, states, states[:, :2])
+
+
+_random_programs = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1)
+)  # (qubits, batch, seed)
+
+
+def _draw_program(case):
+    n, batch, seed = case
+    rng = np.random.default_rng(seed)
+    program = random_program(n, rng)
+    return program, rng.uniform(0, 2 * np.pi, (batch, program.n_slots)), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_programs)
+def test_run_batch_matches_dense_unitary_property(case):
+    program, angles, _ = _draw_program(case)
+    states = qsim.run_batch(program, angles)
+    for row, state in zip(angles, states):
+        dense = program_unitary(program, row) @ qsim.zero_state(program.n_qubits)
+        assert np.abs(state - dense).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_programs)
+def test_adjoint_gradient_matches_shift_property(case):
+    program, angles, rng = _draw_program(case)
+    dim = 1 << program.n_qubits
+    matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    observable = pl.decompose(matrix + matrix.conj().T)
+    states = qsim.run_batch(program, angles)
+    cotangents = states @ observable.to_matrix().T  # dE/d(conj psi) = O psi per row
+    adj = qsim.adjoint_gradient(program, angles, states, cotangents)
+    for row, grad in zip(angles, adj):
+        shift = qsim.grad_parameter_shift(program, row, observable)
+        gap = np.abs(grad - shift).max(initial=0.0)  # programs may hold no rotation
+        assert gap <= 1e-8 * max(1.0, np.abs(shift).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

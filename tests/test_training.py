@@ -7,10 +7,19 @@ from vqspectral import pauli as pl
 from vqspectral import qsim
 from vqspectral import spectral as sp
 from vqspectral import training as tr
-from vqspectral.errors import ConfigurationError, DivergenceError, SingularSystemError
+from vqspectral.errors import (
+    ConfigurationError,
+    ContractViolation,
+    DegenerateDenominatorError,
+    DivergenceError,
+    SingularSystemError,
+)
+
+from conftest import fail_grad_total_at
 
 BC_D = sp.BoundarySpec((sp.DirectionBC.dirichlet(),))
 BC_WAVE = sp.BoundarySpec((sp.DirectionBC.dirichlet(), sp.DirectionBC.initial_value()))
+BC_2D = sp.BoundarySpec((sp.DirectionBC.dirichlet(), sp.DirectionBC.dirichlet()))
 
 
 def helm_system(n_modes=16):
@@ -100,8 +109,30 @@ def test_joint_truth_solve_rejects_singular_operator():
 def test_feature_vector_prepends_k_squared():
     system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, 8)
     dataset = tr.generate_dataset(tr.DatasetSpec("joint_k", 2, 0, seed=7), system)
-    flat = tr.feature_vector(dataset.train, 0, (len(dataset.train.features[0]) + 1,))
-    assert flat[0] == pytest.approx(dataset.train.k_values[0] ** 2)
+    flat = tr.feature_batch(dataset.train, (len(dataset.train.features[0]) + 1,))
+    assert flat.shape == (2, len(dataset.train.features[0]) + 1)
+    assert np.array_equal(flat[:, 0], dataset.train.k_values**2)
+    assert np.array_equal(flat[:, 1:], np.array(dataset.train.features))
+
+
+def test_feature_batch_grids_and_empty_split():
+    system = sp.assemble_system("rd2d", {"epsilon": 0.1}, BC_2D, 4)
+    dataset = tr.generate_dataset(tr.DatasetSpec("trig_2d", 3, 0, seed=1), system)
+    shape = (1,) + dataset.train.features[0].shape
+    grids = tr.feature_batch(dataset.train, shape)
+    assert grids.shape == (3,) + shape
+    assert np.array_equal(grids[:, 0], np.array(dataset.train.features))
+    assert tr.feature_batch(dataset.test, shape).shape == (0,) + shape
+    with pytest.raises(ContractViolation):
+        tr.feature_batch(dataset.train, (7,))
+
+
+@pytest.mark.parametrize(
+    "k_min, k_max, squared", [(5.0, 4.0, False), (-1.0, 4.0, True)], ids=["reversed", "negative_k2"]
+)
+def test_dataset_spec_rejects_bad_k_range(k_min, k_max, squared):
+    with pytest.raises(ConfigurationError, match="k_min"):
+        tr.DatasetSpec("joint_k", 2, 0, seed=0, k_min=k_min, k_max=k_max, k_is_squared=squared)
 
 
 def test_unknown_family_rejected():
@@ -275,6 +306,24 @@ def test_training_aborts_on_divergence():
     record = tr.train(config, toy_data(), toy_program(), net)
     assert record.aborted
     assert "diverge" in record.abort_reason or "finite" in record.abort_reason
+
+
+@pytest.mark.parametrize("optimizer, call", [("adam", 3), ("lbfgs", 1), ("lbfgs", 3)])
+def test_failed_step_keeps_partial_record(optimizer, call, monkeypatch):
+    # L-BFGS call 1 is its first evaluation, call 3 falls inside a line search
+    fail_grad_total_at(monkeypatch, DegenerateDenominatorError("injected"), call)
+    config = tr.TrainConfig(
+        objective="normalized", optimizer=optimizer, epochs=10, learning_rate=0.01, eval_every=1
+    )
+    record = tr.train(config, toy_data(), toy_program(), toy_net())
+    assert record.aborted and "injected" in record.abort_reason
+    assert record.rows  # the evaluations before the failure, or the epoch-0 row
+
+
+def test_configuration_error_escapes_training(monkeypatch):
+    fail_grad_total_at(monkeypatch, ConfigurationError("injected"), 1)
+    with pytest.raises(ConfigurationError, match="injected"):
+        tr.train(tr.TrainConfig(epochs=5, eval_every=5), toy_data(), toy_program(), toy_net())
 
 
 def test_lbfgs_training_path_runs():
