@@ -203,8 +203,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"unknown gradient_mode {cfg.gradient_mode!r}")
     if cfg.family not in ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k"):
         raise ConfigurationError(f"unknown dataset family {cfg.family!r}")
-    if cfg.n_modes < 2:
-        raise ConfigurationError("n_modes must be >= 2")
+    # every system size is a power of the mode count, and a circuit needs a power of two
+    if not _valid_modes(cfg.n_modes):
+        raise ConfigurationError(
+            f"[benchmark] n_modes must be a power of two >= 2, got {cfg.n_modes}"
+        )
+    if not all(_valid_modes(m) for m in cfg.scaling_modes):
+        raise ConfigurationError(
+            f"[study] scaling_modes must be powers of two >= 2, got {_fmt(cfg.scaling_modes)}"
+        )
     for section, key, low in _LOWER_BOUNDS:
         value = getattr(cfg, _field_name(section, key))
         if not value >= low:
@@ -219,6 +226,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"[dataset] k_min must be >= 0 when k_is_squared = true, got {cfg.k_min}"
         )
+
+
+def _valid_modes(value: int) -> bool:
+    return value >= 2 and value & (value - 1) == 0
 
 
 def _fmt(value) -> str:

@@ -5,11 +5,17 @@ its angle from a distinct slot so the two-point shift rule applies per slot.
 States are complex arrays shaped (..., 2^n) with qubit 0 as the most
 significant bit, and every operation accepts a leading batch axis so that a
 whole training batch advances through the same program in lockstep.
+
+A program is compiled once, on first use, into a short list of fused steps
+(GateProgram.compiled): each run of CNOTs is one basis-index gather, each run of
+hadamards one constant matrix, and each set of rotations on distinct qubits
+one rotation step. The forward run and the adjoint sweep walk the same list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +44,11 @@ __all__ = [
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _SDG_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
+# G = -i P per rotation kind, so that R(theta) = cos(theta/2) I + sin(theta/2) G
+_GENERATOR = {
+    "ry": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
+    "rz": np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex),
+}
 
 
 @dataclass(frozen=True)
@@ -62,12 +73,19 @@ class GateProgram:
             if gate.kind == "cnot":
                 if not 0 <= gate.control < self.n_qubits or gate.control == gate.target:
                     raise ContractViolation("invalid cnot control")
-            if gate.kind in ("ry", "rz"):
+            if gate.kind in _GENERATOR:
                 if not 0 <= gate.slot < self.n_slots:
                     raise ContractViolation(f"slot {gate.slot} out of range")
                 seen_slots.append(gate.slot)
+            elif gate.kind not in ("h", "cnot"):
+                raise ContractViolation(f"unknown gate kind {gate.kind!r}")
         if sorted(seen_slots) != list(range(self.n_slots)):
             raise ContractViolation("each angle slot must feed exactly one rotation")
+
+    @cached_property
+    def compiled(self) -> _Compiled:
+        """The fused steps, compiled on first use and kept on the program."""
+        return _compile(self)
 
 
 # ---------------------------------------------------------------------------
@@ -138,61 +156,172 @@ def zero_state(n: int, batch: int | None = None) -> np.ndarray:
     return state
 
 
-def _ry_matrices(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
-
-
-def _rz_matrices(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-0.5j * theta)
-    out[..., 1, 1] = np.exp(0.5j * theta)
-    return out
-
-
-def _apply_single(state: np.ndarray, mats: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply per-batch 2x2 matrices on one qubit; state shaped (B, 2^n)."""
+def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """Apply one 2x2 matrix on one qubit; state shaped (B, 2^n)."""
     batch = state.shape[0]
-    left = 1 << qubit
-    right = 1 << (n - qubit - 1)
-    s = state.reshape(batch, left, 2, right)
-    if mats.ndim == 2:
-        out = np.einsum("ij,aljr->alir", mats, s)
-    else:
-        out = np.einsum("aij,aljr->alir", mats, s)
-    return out.reshape(batch, -1)
+    s = state.reshape(batch, 1 << qubit, 2, 1 << (n - qubit - 1))
+    return np.einsum("ij,aljr->alir", matrix, s).reshape(batch, -1)
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    batch = state.shape[0]
-    s = state.reshape((batch,) + (2,) * n).copy()
-    idx1 = [slice(None)] * (n + 1)
-    idx1[1 + control] = 1
-    sub = s[tuple(idx1)]  # view with control = 1
-    t_axis = 1 + target - (1 if target > control else 0)
-    s[tuple(idx1)] = np.flip(sub, axis=t_axis)
-    return s.reshape(batch, -1)
+@dataclass(frozen=True, eq=False)
+class _Gather:
+    """A run of CNOTs as one basis permutation: out[..., i] = state[..., perm[i]]."""
+
+    perm: np.ndarray
+    inverse: np.ndarray
+
+    def apply(self, state: np.ndarray, factors) -> np.ndarray:
+        return state[..., self.perm]
+
+    def undo(self, state: np.ndarray, factors) -> np.ndarray:
+        return state[..., self.inverse]
 
 
-def _apply_gate_batch(
-    state: np.ndarray, gate: Gate, angles: np.ndarray, n: int, inverse: bool = False
-) -> np.ndarray:
-    if gate.kind == "cnot":
-        return _apply_cnot(state, gate.control, gate.target, n)
-    if gate.kind == "h":
-        return _apply_single(state, _H_MATRIX, gate.target, n)
-    theta = angles[..., gate.slot]
-    if inverse:
-        theta = -theta
-    mats = _ry_matrices(theta) if gate.kind == "ry" else _rz_matrices(theta)
-    return _apply_single(state, mats, gate.target, n)
+@dataclass(frozen=True, eq=False)
+class _Fixed:
+    """A run of hadamards as one constant matrix M, applied as state @ M^T."""
+
+    forward: np.ndarray  # M^T
+    backward: np.ndarray  # (M^dag)^T
+
+    def apply(self, state: np.ndarray, factors) -> np.ndarray:
+        return (state.reshape(-1, state.shape[-1]) @ self.forward).reshape(state.shape)
+
+    def undo(self, state: np.ndarray, factors) -> np.ndarray:
+        return (state.reshape(-1, state.shape[-1]) @ self.backward).reshape(state.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rotations:
+    """Rotations on distinct qubits, which commute, applied as one step.
+
+    The step applies row `row` of the factors that _Compiled.factors builds:
+    one 4x4 Kronecker factor per qubit pair (0, 1), (2, 3), ... and a lone
+    2x2 for odd n. Each factor multiplies the state's leading qubits from the
+    right, transposed, and leaves them last, so after all of them the state is
+    back in its own qubit order; factors built from the negated angles undo
+    the step the same way. For the step's k slots, the tables give
+    (G_j psi)[i] = phase[j, i] * psi[index[j, i]], since every generator is
+    diagonal or anti-diagonal.
+    """
+
+    row: int
+    slots: np.ndarray  # (k,)
+    index: np.ndarray  # (k, 2^n)
+    phase: np.ndarray  # (k, 2^n)
+
+    def apply(self, state: np.ndarray, factors) -> np.ndarray:
+        shape = state.shape
+        for group in factors:
+            for factor in group[:, self.row].swapaxes(0, 1):
+                width = factor.shape[-1]
+                block = state.reshape(shape[:-1] + (width, -1)).swapaxes(-1, -2)
+                state = (block.reshape(shape[0], -1, width) @ factor).reshape(shape)
+        return state
+
+    undo = apply
+
+    def gradient(self, stacked: np.ndarray) -> np.ndarray:
+        """Re(lambda^dag G_j phi) = d L / d theta_j for every slot, stacked (B, 2, 2^n)."""
+        phi, lam = stacked[:, 0], stacked[:, 1]
+        return np.einsum("bki,ki,bi->bk", phi[:, self.index], self.phase, lam.conj()).real
+
+
+@dataclass(frozen=True, eq=False)
+class _Compiled:
+    """The fused steps of a program and the per-qubit data of its R rotation
+    steps. Qubit q of rotation step r turns by cos(theta/2) I + sin(theta/2) G
+    with theta from slot slot_of_qubit[r, q]; where the step leaves q alone,
+    scale and G are 0, which gives I."""
+
+    steps: tuple
+    slot_of_qubit: np.ndarray  # (R, n)
+    scale: np.ndarray  # (R, n): 0.5 where the step turns the qubit, else 0
+    generators_t: np.ndarray  # (R, n, 2, 2), each G transposed
+
+    def factors(self, angles: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every rotation step's factors for sign * angles in one vectorized pass:
+        pair factors (B, R, n // 2, 4, 4) and lone factors (B, R, n % 2, 2, 2)."""
+        half = angles[:, self.slot_of_qubit] * (sign * self.scale)
+        mats = np.cos(half)[..., None, None] * np.eye(2) + np.sin(half)[..., None, None] * (
+            self.generators_t
+        )  # (B, R, n, 2, 2)
+        pairs = mats.shape[2] // 2
+        kron = mats[:, :, 0 : 2 * pairs : 2, :, None, :, None] * mats[:, :, 1::2, None, :, None, :]
+        return kron.reshape(kron.shape[:3] + (4, 4)), mats[:, :, 2 * pairs :]
+
+
+def _compile(program: GateProgram) -> _Compiled:
+    """Fuse the gate list into steps along an as-soon-as-possible schedule.
+
+    A gate joins the first step of its kind after the last step that touched
+    its qubits, and a new step at the end when there is none; every step it
+    passes acts on other qubits, so it commutes with them. An h or cnot may
+    also join that last step itself, since a fixed step composes its gates in
+    order; a rotation may not, so a rotation step holds each qubit once.
+    """
+    n = program.n_qubits
+    runs: list[tuple[str, list[Gate]]] = []
+    last = [-1] * n  # the last step that touched each qubit
+    for gate in program.gates:
+        kind = "rot" if gate.kind in _GENERATOR else gate.kind
+        qubits = (gate.control, gate.target) if kind == "cnot" else (gate.target,)
+        touched = max(last[q] for q in qubits)
+        first = touched + 1 if kind == "rot" else max(touched, 0)
+        at = next((i for i in range(first, len(runs)) if runs[i][0] == kind), len(runs))
+        if at == len(runs):
+            runs.append((kind, []))
+        runs[at][1].append(gate)
+        for q in qubits:
+            last[q] = at
+
+    steps, rotations = [], []
+    for kind, gates in runs:
+        if kind == "rot":
+            steps.append(_build_rotations(gates, n, row=len(rotations)))
+            rotations.append(gates)
+        else:
+            steps.append(_build_gather(gates, n) if kind == "cnot" else _build_fixed(gates, n))
+    slot_of_qubit = np.zeros((len(rotations), n), dtype=int)
+    scale = np.zeros((len(rotations), n))
+    generators_t = np.zeros((len(rotations), n, 2, 2), dtype=complex)
+    for row, gates in enumerate(rotations):
+        for g in gates:
+            slot_of_qubit[row, g.target] = g.slot
+            scale[row, g.target] = 0.5
+            generators_t[row, g.target] = _GENERATOR[g.kind].T
+    return _Compiled(tuple(steps), slot_of_qubit, scale, generators_t)
+
+
+def _build_gather(gates: list[Gate], n: int) -> _Gather:
+    index = np.arange(1 << n)
+    perm = index
+    for gate in gates:
+        control = 1 << (n - 1 - gate.control)
+        target = 1 << (n - 1 - gate.target)
+        perm = perm[np.where(index & control, index ^ target, index)]
+    return _Gather(perm, np.argsort(perm))
+
+
+def _build_fixed(gates: list[Gate], n: int) -> _Fixed:
+    rows = np.eye(1 << n, dtype=complex)  # row j evolves to (M e_j)^T, so rows ends as M^T
+    for gate in gates:
+        rows = _apply_single(rows, _H_MATRIX, gate.target, n)
+    return _Fixed(rows, rows.conj().T.copy())
+
+
+def _build_rotations(gates: list[Gate], n: int, row: int) -> _Rotations:
+    generators = np.stack([_GENERATOR[g.kind] for g in gates])  # (k, 2, 2)
+    flips = (generators[:, 0, 0] == 0)[:, None]  # an anti-diagonal G flips its qubit's bit
+    masks = np.array([1 << (n - 1 - g.target) for g in gates])[:, None]
+    index = np.arange(1 << n)
+    bits = (index & masks != 0).astype(int)  # (k, 2^n)
+    return _Rotations(
+        row=row,
+        slots=np.array([g.slot for g in gates]),
+        index=index ^ (masks * flips),
+        phase=generators[np.arange(len(gates))[:, None], bits, bits ^ flips],
+    )
 
 
 def run_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
@@ -202,9 +331,11 @@ def run_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"expected angles shaped (batch, {program.n_slots}), got {angles.shape}"
         )
+    compiled = program.compiled
+    factors = compiled.factors(angles, 1.0)
     state = zero_state(program.n_qubits, batch=angles.shape[0])
-    for gate in program.gates:
-        state = _apply_gate_batch(state, gate, angles, program.n_qubits)
+    for step in compiled.steps:
+        state = step.apply(state, factors)
     return state
 
 
@@ -293,9 +424,6 @@ def grad_parameter_shift(program: GateProgram, angles: np.ndarray, observable) -
     return grad
 
 
-_GENERATORS = {"ry": "Y", "rz": "Z"}
-
-
 def adjoint_gradient(
     program: GateProgram, angles: np.ndarray, states: np.ndarray, cotangents: np.ndarray
 ) -> np.ndarray:
@@ -303,35 +431,28 @@ def adjoint_gradient(
 
     states are the forward outputs run_batch(program, angles), which the
     caller already holds; cotangents hold dL/d(conj psi) per batch row, i.e.
-    dL = 2 Re(lambda^dag d psi). Walks the gate list backwards, undoing each
-    gate on both the state and the cotangent; for a rotation with generator P
-    the slot gradient is Im(lambda^dag P psi) evaluated with the gate still
-    applied.
+    dL = 2 Re(lambda^dag d psi). Walks the compiled steps backwards, undoing
+    each on the state and the cotangent stacked as one (B, 2, 2^n) array. A
+    rotation R = exp(theta G / 2) contributes Re(lambda^dag G psi) evaluated
+    with its step still applied; the rotations of one step commute, so every
+    slot of the step reads the same pair.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != program.n_slots:
         raise ContractViolation("angles must be shaped (batch, n_slots)")
-    n = program.n_qubits
     phi = np.asarray(states, dtype=complex)
     lam = np.asarray(cotangents, dtype=complex)
-    if not phi.shape == lam.shape == (angles.shape[0], 1 << n):
+    if not phi.shape == lam.shape == (angles.shape[0], 1 << program.n_qubits):
         raise ContractViolation("states and cotangents must be shaped (batch, 2^n)")
+    compiled = program.compiled
+    factors = compiled.factors(angles, -1.0)
+    stacked = np.stack((phi, lam), axis=1)
     grads = np.zeros_like(angles)
-    for gate in reversed(program.gates):
-        if gate.kind in _GENERATORS:
-            pauli = _single_qubit_pauli(_GENERATORS[gate.kind], gate.target, n)
-            p_phi = pauli.apply(phi)
-            grads[:, gate.slot] = np.einsum("bi,bi->b", lam.conj(), p_phi).imag
-        phi = _apply_gate_batch(phi, gate, angles, n, inverse=True)
-        lam = _apply_gate_batch(lam, gate, angles, n, inverse=True)
+    for step in reversed(compiled.steps):
+        if isinstance(step, _Rotations):
+            grads[:, step.slots] = step.gradient(stacked)
+        stacked = step.undo(stacked, factors)
     return grads
-
-
-def _single_qubit_pauli(letter: str, qubit: int, n: int) -> PauliString:
-    bit = 1 << (n - 1 - qubit)
-    x = bit if letter in ("X", "Y") else 0
-    z = bit if letter in ("Z", "Y") else 0
-    return PauliString(n, x, z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqspectral import cli
 from vqspectral.config import (
@@ -12,6 +15,7 @@ from vqspectral.config import (
     parse_config_text,
 )
 from vqspectral.errors import ConfigurationError
+from vqspectral.spectral import BENCHMARK_PDES
 
 from conftest import fail_grad_total_at
 
@@ -62,6 +66,68 @@ def test_canonicalization_idempotent():
     once = canonical_text(cfg)
     twice = canonical_text(parse_config_text(once))
     assert once == twice
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_COUNTS = st.integers(1, 10_000)
+_POWERS = st.integers(1, 12).map(lambda e: 1 << e)
+
+
+def _tuples(values):
+    return st.lists(values, max_size=4).map(tuple)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Any config _validate accepts: every field drawn, within its checked range."""
+    k_min, k_max = sorted(draw(st.tuples(_REALS, _REALS)))
+    values = dict(
+        pde=st.sampled_from(BENCHMARK_PDES),
+        boundary=st.sampled_from(["dirichlet", "neumann"]),
+        n_modes=_POWERS,
+        dimensions=st.integers(1, 3),
+        epsilon=_REALS,
+        k_squared=_REALS,
+        nu=_REALS,
+        nu2=_REALS,
+        ansatz=st.sampled_from(["hardware_efficient_ry", "strongly_entangling"]),
+        layers=_COUNTS,
+        hidden=_tuples(_COUNTS),
+        activation=st.sampled_from(["relu", "gelu", "identity"]),
+        conv_channels=_tuples(_COUNTS),
+        conv_kernel=_COUNTS,
+        family=st.sampled_from(["shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k"]),
+        train_size=_COUNTS,
+        test_size=st.integers(0, 10_000),
+        data_seed=st.integers(-(2**63), 2**63),
+        k_min=st.just(k_min),
+        k_max=st.just(k_max),
+        k_is_squared=st.booleans() if k_min >= 0 else st.just(False),
+        objective=st.sampled_from(["unnormalized", "normalized"]),
+        optimizer=st.sampled_from(["adam", "lbfgs"]),
+        learning_rate=st.floats(0.0, 1e6, exclude_min=True),
+        beta1=_REALS,
+        beta2=_REALS,
+        adam_epsilon=_REALS,
+        epochs=_COUNTS,
+        eval_every=_COUNTS,
+        gradient_mode=st.sampled_from(["adjoint", "parameter_shift"]),
+        net_seed=st.integers(-(2**63), 2**63),
+        thresholds=_tuples(_REALS),
+        scaling_modes=_tuples(_POWERS),
+        scaling_dims=_tuples(st.integers(1, 3)),
+        signflip_seeds=_COUNTS,
+    )
+    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**{name: draw(strategy) for name, strategy in values.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs())
+def test_canonicalization_idempotent_property(cfg):
+    text = canonical_text(cfg)
+    assert parse_config_text(text) == cfg
+    assert canonical_text(parse_config_text(text)) == text
 
 
 def test_partial_config_fills_defaults():
@@ -135,9 +201,9 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
-def _exits_two_naming(tmp_path, capsys, text, name):
+def _exits_two_naming(tmp_path, capsys, text, name, verb="run", dry_run=True):
     cfg_path = write_cfg(tmp_path, text)
-    argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--dry-run"]
+    argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "o")] + ["--dry-run"] * dry_run
     assert cli.main(argv) == 2  # rejected at parse time, before the dry run prints
     captured = capsys.readouterr()
     assert name in captured.err and not captured.out
@@ -171,6 +237,22 @@ def test_nonpositive_train_counts_exit_two(tmp_path, capsys, key, value):
 def test_bad_k_range_exits_two(tmp_path, capsys, k_lines):
     text = MINI_RUN_CFG.replace("[dataset]\n", f"[dataset]\n{k_lines}\n")
     _exits_two_naming(tmp_path, capsys, text, "[dataset] k_min")
+
+
+@pytest.mark.parametrize("verb", ["run", "scaling"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+@pytest.mark.parametrize(
+    "pattern, line, name",
+    [
+        (r"^n_modes = .*$", "n_modes = 12", "[benchmark] n_modes"),
+        (r"\Z", "[study]\nscaling_modes = 4,6\n", "[study] scaling_modes"),
+        (r"\Z", "[study]\nscaling_modes = 1,4\n", "[study] scaling_modes"),
+    ],
+    ids=["n_modes-12", "scaling_modes-6", "scaling_modes-1"],
+)
+def test_modes_not_power_of_two_exit_two(tmp_path, capsys, verb, dry_run, pattern, line, name):
+    text = re.sub(pattern, line, MINI_RUN_CFG, count=1, flags=re.M)
+    _exits_two_naming(tmp_path, capsys, text, name, verb, dry_run)
 
 
 def test_failed_run_keeps_record_and_exits_one(tmp_path, monkeypatch, capsys):

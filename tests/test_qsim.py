@@ -112,6 +112,87 @@ def test_multiuse_slot_rejected():
         qsim.GateProgram(2, gates, 1)
 
 
+def test_unknown_gate_kind_rejected():
+    with pytest.raises(ContractViolation, match="'x'"):
+        qsim.GateProgram(1, (qsim.Gate("x", 0),), 0)
+
+
+# ---------------------------------------------------------------------------
+# Compiled steps
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 8])
+def test_compiled_step_counts_fixed_per_layer(layers):
+    hardware = {len(qsim.build_hardware_efficient_ry(n, layers).compiled.steps) for n in range(2, 7)}
+    entangling = {len(qsim.build_strongly_entangling(n, layers).compiled.steps) for n in range(2, 7)}
+    assert len(hardware) == 1 and hardware.pop() <= 2 * layers + 1
+    assert len(entangling) == 1 and entangling.pop() <= 4 * layers
+
+
+def test_program_compiles_once(monkeypatch, rng):
+    compiled = []
+    real = qsim._compile
+    monkeypatch.setattr(qsim, "_compile", lambda program: compiled.append(program) or real(program))
+    program = qsim.build_strongly_entangling(3, 2)
+    angles = rng.uniform(0, 2 * np.pi, (2, program.n_slots))
+    first = qsim.run_batch(program, angles)
+    steps = program.compiled.steps
+    second = qsim.run_batch(program, angles)
+    qsim.adjoint_gradient(program, angles, first, first)
+    assert compiled == [program] and program.compiled.steps is steps
+    assert np.array_equal(first, second)
+
+
+_G = qsim.Gate
+SCHEDULING_CASES = {
+    # after the CNOTs, each qubit turns again, though an earlier rotation
+    # step (the rz on qubit 1 alone) has room for qubits 0 and 2
+    "rotation_after_cnot": qsim.GateProgram(
+        3,
+        (
+            _G("ry", 0, slot=0), _G("ry", 1, slot=1), _G("ry", 2, slot=2),
+            _G("rz", 1, slot=3), _G("cnot", 1, control=0), _G("ry", 1, slot=4),
+            _G("cnot", 0, control=2), _G("ry", 2, slot=5), _G("rz", 0, slot=6),
+        ),
+        7,
+    ),
+    "h_between_rotations": qsim.GateProgram(
+        2,
+        (
+            _G("ry", 0, slot=0), _G("h", 0), _G("ry", 0, slot=1), _G("rz", 1, slot=2),
+            _G("h", 1), _G("h", 0), _G("rz", 1, slot=3), _G("cnot", 1, control=0),
+        ),
+        4,
+    ),
+    "rz_between_rys": qsim.GateProgram(
+        2,
+        (
+            _G("h", 0), _G("ry", 0, slot=0), _G("rz", 0, slot=1), _G("ry", 0, slot=2),
+            _G("ry", 1, slot=3), _G("cnot", 0, control=1), _G("rz", 1, slot=4),
+        ),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULING_CASES))
+def test_scheduling_cases_match_references(name, rng):
+    program = SCHEDULING_CASES[name]
+    dim = 1 << program.n_qubits
+    angles = rng.uniform(0, 2 * np.pi, (3, program.n_slots))
+    states = qsim.run_batch(program, angles)
+    for row, state in zip(angles, states):
+        dense = program_unitary(program, row) @ qsim.zero_state(program.n_qubits)
+        assert np.abs(state - dense).max() <= 1e-13
+    matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    observable = pl.decompose(matrix + matrix.conj().T)
+    cotangents = states @ observable.to_matrix().T
+    adj = qsim.adjoint_gradient(program, angles, states, cotangents)
+    for row, grad in zip(angles, adj):
+        shift = qsim.grad_parameter_shift(program, row, observable)
+        assert np.abs(grad - shift).max() <= 1e-13 * max(1.0, np.abs(shift).max())
+
+
 # ---------------------------------------------------------------------------
 # Observables
 
