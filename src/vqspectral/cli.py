@@ -189,18 +189,8 @@ def cmd_truncation(cfg: ExperimentConfig, out_dir: Path, thresholds=None) -> int
     system = build_system(cfg)
     _qubit_count(system.size)
     expansion = pauli.decompose(system.matrix, cfg.pde)
-    dataset_spec = _dataset_spec(cfg)
     dataset = training.generate_dataset(
-        training.DatasetSpec(
-            family=dataset_spec.family,
-            n_train=1,
-            n_test=0,
-            seed=dataset_spec.seed,
-            k_min=dataset_spec.k_min,
-            k_max=dataset_spec.k_max,
-            k_is_squared=dataset_spec.k_is_squared,
-        ),
-        system,
+        dataclasses.replace(_dataset_spec(cfg), n_train=1, n_test=0), system
     )
     rhs = dataset.train.raw_targets[0]
     reference = spectral.classical_solve(system, rhs)
@@ -253,7 +243,7 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
                 pde = pde[:-2] + "2d"
             if d == 1 and pde.endswith("2d"):
                 pde = pde[:-2] + "1d"
-            sub = _with(cfg, pde=pde, n_modes=n_modes, dimensions=d)
+            sub = dataclasses.replace(cfg, pde=pde, n_modes=n_modes, dimensions=d)
             system = build_system(sub)
             expansion = pauli.decompose(system.matrix, pde)
             normal = pauli.normal_operator(expansion)
@@ -278,10 +268,6 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _with(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **kw)
-
-
 def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Adversarial-initialization study of the sign ambiguity.
 
@@ -299,7 +285,7 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
     truth = dataset.train.truth[0]
     alpha_unit = truth.coefficients / np.linalg.norm(truth.coefficients)
     program = _build_program(cfg, n_qubits)
-    input_shape = _feature_input_shape(_with(cfg, conv_channels=()), dataset.train)
+    input_shape = _feature_input_shape(dataclasses.replace(cfg, conv_channels=()), dataset.train)
     data = training.TrainData.from_dataset(dataset, system, input_shape)
     ctx = data.ctx_train
 

@@ -212,6 +212,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"[study] scaling_modes must be powers of two >= 2, got {_fmt(cfg.scaling_modes)}"
         )
+    if cfg.dimensions not in (1, 2):
+        raise ConfigurationError(f"[benchmark] dimensions must be 1 or 2, got {cfg.dimensions}")
+    if not all(d in (1, 2) for d in cfg.scaling_dims):
+        raise ConfigurationError(
+            f"[study] scaling_dims entries must be 1 or 2, got {_fmt(cfg.scaling_dims)}"
+        )
     for section, key, low in _LOWER_BOUNDS:
         value = getattr(cfg, _field_name(section, key))
         if not value >= low:
@@ -255,17 +261,13 @@ def canonical_text(cfg: ExperimentConfig) -> str:
 
 def build_system(cfg: ExperimentConfig):
     """Assemble the spectral system described by the benchmark section."""
-    kind = cfg.boundary
     if cfg.pde == "wave1d":
-        bc = BoundarySpec((DirectionBC.dirichlet(), DirectionBC.initial_value()))
-    elif cfg.pde in ("rd2d", "helm2d", "cd2d") or (
-        cfg.pde == "joint_helm" and cfg.dimensions == 2
-    ):
-        direction = DirectionBC.neumann() if kind == "neumann" else DirectionBC.dirichlet()
-        bc = BoundarySpec((direction, direction))
+        directions = (DirectionBC.dirichlet(), DirectionBC.initial_value())
     else:
-        direction = DirectionBC.neumann() if kind == "neumann" else DirectionBC.dirichlet()
-        bc = BoundarySpec((direction,))
+        # every other pde name ends in its dimension: rd1d, cd2d, ...
+        d = cfg.dimensions if cfg.pde == "joint_helm" else int(cfg.pde[-2])
+        direction = DirectionBC.neumann() if cfg.boundary == "neumann" else DirectionBC.dirichlet()
+        directions = (direction,) * d
     params = {
         "epsilon": cfg.epsilon,
         "k_squared": cfg.k_squared,
@@ -273,4 +275,4 @@ def build_system(cfg: ExperimentConfig):
         "nu1": cfg.nu,
         "nu2": cfg.nu2,
     }
-    return assemble_system(cfg.pde, params, bc, cfg.n_modes)
+    return assemble_system(cfg.pde, params, BoundarySpec(directions), cfg.n_modes)

@@ -77,10 +77,6 @@ class LossContext:
     def n_instances(self) -> int:
         return self.target_states.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.target_states.shape[1]
-
     @cached_property
     def expansion_a(self) -> PauliExpansion:
         return decompose(self.a_matrix, "A" if self.system is None else self.system.pde)

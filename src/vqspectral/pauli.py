@@ -39,6 +39,7 @@ _I_POWER_ARRAY = np.array(_I_POWERS)
 # Pairs (or matrix entries) per vectorized block: bounds the temporaries of
 # adjoint_product and to_matrix, which would reach ~100 MB whole at K = 256.
 _BLOCK = 1 << 16
+_DROP_TOL = 1e-14  # coefficients at or below this magnitude are dropped
 
 
 def _popcount(values: np.ndarray) -> np.ndarray:
@@ -194,21 +195,21 @@ class PauliExpansion:
         return PauliExpansion(n_qubits=n_qubits, terms=tuple(terms), source_tag=source_tag)
 
 
-def _from_dense(coefs: np.ndarray, drop_tol: float, source_tag: str) -> PauliExpansion:
-    """Expansion from coefs[x, z] over all 4^n strings: terms above drop_tol, in (x, z) order."""
+def _from_dense(coefs: np.ndarray, source_tag: str) -> PauliExpansion:
+    """Expansion from coefs[x, z] over all 4^n strings: terms above _DROP_TOL, in (x, z) order."""
     n = coefs.shape[0].bit_length() - 1
-    xs, zs = np.nonzero(np.abs(coefs) > drop_tol)
+    xs, zs = np.nonzero(np.abs(coefs) > _DROP_TOL)
     terms = zip(xs.tolist(), zs.tolist(), coefs[xs, zs].tolist())
     return PauliExpansion(n, tuple((PauliString(n, x, z), c) for x, z, c in terms), source_tag)
 
 
-def decompose(matrix: np.ndarray, source_tag: str = "", drop_tol: float = 1e-14) -> PauliExpansion:
+def decompose(matrix: np.ndarray, source_tag: str = "") -> PauliExpansion:
     """Exact expansion of a 2^n x 2^n matrix over all 4^n Pauli strings.
 
     Coefficients are normalized trace inner products trace(P @ A) / 2^n: all
     x-diagonals A[c, c ^ x] are gathered at once, then one Walsh-Hadamard
     transform over c (a butterfly per bit) yields every z-mask. Coefficients
-    at or below drop_tol in magnitude are dropped; terms come in (x, z) order.
+    at or below _DROP_TOL in magnitude are dropped; terms come in (x, z) order.
     """
     matrix = np.asarray(matrix)
     dim = matrix.shape[0]
@@ -224,13 +225,12 @@ def decompose(matrix: np.ndarray, source_tag: str = "", drop_tol: float = 1e-14)
         low, high = sums.take(0, axis), sums.take(1, axis)
         sums = np.stack((low + high, low - high), axis=axis)
     coefs = _I_POWER_ARRAY[_popcount(masks & cols) % 4] * sums.reshape(dim, dim) / dim
-    return _from_dense(coefs, drop_tol, source_tag)
+    return _from_dense(coefs, source_tag)
 
 
 def adjoint_product(
     left: PauliExpansion,
     right: PauliExpansion,
-    drop_tol: float = 1e-14,
     source_tag: str = "",
 ) -> PauliExpansion:
     """Expansion of left^dagger @ right by symbolic pairwise Pauli products.
@@ -258,14 +258,10 @@ def adjoint_product(
         values.imag = a.real * b.imag + a.imag * b.real
         values *= _I_POWER_ARRAY[exp % 4]
         np.add.at(acc, ((x3 << n) | z3).ravel(), values.ravel())
-    return _from_dense(acc.reshape(1 << n, 1 << n), drop_tol, source_tag)
+    return _from_dense(acc.reshape(1 << n, 1 << n), source_tag)
 
 
-def normal_operator(
-    expansion: PauliExpansion,
-    method: str = "pairwise",
-    drop_tol: float = 1e-14,
-) -> PauliExpansion:
+def normal_operator(expansion: PauliExpansion, method: str = "pairwise") -> PauliExpansion:
     """Expansion of A^dagger A from the expansion of A.
 
     "pairwise" (the default) is adjoint_product: all T^2 string products in
@@ -277,10 +273,10 @@ def normal_operator(
     tag = f"{expansion.source_tag}^dag {expansion.source_tag}".strip()
     if method == "dense":
         dense = expansion.to_matrix()
-        return decompose(dense.conj().T @ dense, source_tag=tag, drop_tol=drop_tol)
+        return decompose(dense.conj().T @ dense, source_tag=tag)
     if method != "pairwise":
         raise ContractViolation(f"unknown method {method!r}")
-    return adjoint_product(expansion, expansion, drop_tol=drop_tol, source_tag=tag)
+    return adjoint_product(expansion, expansion, source_tag=tag)
 
 
 @dataclass(frozen=True)

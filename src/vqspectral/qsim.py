@@ -39,7 +39,6 @@ __all__ = [
     "grad_parameter_shift",
     "adjoint_gradient",
     "estimate_shots",
-    "dump_amplitudes",
 ]
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -501,10 +500,3 @@ def estimate_shots(
             total += coef * float(np.sum(counts[nonzero] * signs) / shots)
     return {"estimate": float(total.real), "circuits_used": grouping.n_groups}
 
-
-def dump_amplitudes(state: np.ndarray, path) -> None:
-    """CSV dump index,re,im (debug aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,re,im\n")
-        for i, amp in enumerate(np.asarray(state).reshape(-1)):
-            fh.write(f"{i},{amp.real:.17g},{amp.imag:.17g}\n")

@@ -14,7 +14,8 @@ transforms integrate against the reference measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -370,7 +371,6 @@ class SpectralSystem:
     bases: tuple[CompactBasis, ...]
     quads: tuple[QuadratureRule, ...]
     domains: tuple[tuple[float, float], ...]
-    params: dict = field(default_factory=dict)
     parametric_parts: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -389,138 +389,86 @@ class SpectralSystem:
         return tuple(out)
 
 
-def _kron2(slow: np.ndarray, fast: np.ndarray) -> np.ndarray:
-    # flat index = j_slow * N_fast + k_fast
-    return np.kron(slow, fast)
+# (pde, direction count) -> operator family; every other pair is rejected
+_FAMILIES = {
+    ("rd1d", 1): "rd",
+    ("helm1d", 1): "helm",
+    ("cd1d", 1): "cd",
+    ("wave1d", 2): "wave",
+    ("rd2d", 2): "rd",
+    ("helm2d", 2): "helm",
+    ("cd2d", 2): "cd",
+    ("joint_helm", 1): "joint_helm",
+    ("joint_helm", 2): "joint_helm",
+}
+BENCHMARK_PDES = tuple(dict.fromkeys(pde for pde, _ in _FAMILIES))
+_VELOCITY_KEYS = {1: ("nu",), 2: ("nu1", "nu2")}  # convection coefficient per direction
+_QUAD_MARGIN = 4  # LGL order N + 4 integrates every product of two basis functions exactly
+_WAVE_HORIZON = 2.0
 
 
-BENCHMARK_PDES = ("rd1d", "helm1d", "cd1d", "wave1d", "rd2d", "helm2d", "cd2d", "joint_helm")
-
-
-def assemble_system(
-    pde: str,
-    params: dict,
-    bc: BoundarySpec,
-    n_modes: int,
-    *,
-    quad_margin: int = 4,
-    wave_horizon: float = 2.0,
-) -> SpectralSystem:
+def assemble_system(pde: str, params: dict, bc: BoundarySpec, n_modes: int) -> SpectralSystem:
     """Assemble the operator for one benchmark family.
 
-    1D elliptic problems live on [-1, 1]; the wave problem lives on
-    x in [0, 1], t in [0, wave_horizon] with an initial-value temporal basis.
-    joint_helm additionally stores the (B, C) split with matrix(k) = B + k^2 C.
+    Every family is one formula in any dimension, built from the 1D
+    stiffness S_i, mass M_i and convection R_i matrices. along(i, X) is the
+    Kronecker product with X on direction i and M_j elsewhere (first direction
+    fastest); laplace = sum_i along(i, S_i) and mass = prod_i M_i.
+      rd: -eps laplace + mass          helm, joint_helm: laplace + k^2 mass
+      cd: -eps laplace + sum_i nu_i along(i, R_i), i.e. -eps Lap u - nu.grad u
+      wave: jt^2 along(t, S_t) - jx^2 along(x, S_x)
+    Elliptic problems live on [-1, 1]^d, and cd takes only Dirichlet
+    conditions; the wave problem lives on x in [0, 1], t in [0, 2] with an
+    initial-value temporal basis. joint_helm also stores the split
+    (B, C) = (laplace, mass) with matrix(k) = B + k^2 C.
     """
-    params = dict(params)
     directions = bc.directions
-    quad_order = n_modes + quad_margin
+    d = len(directions)
+    family = _FAMILIES.get((pde, d))
+    if family is None:
+        raise ConfigurationError(f"unsupported pde/boundary combination: {pde} with d={d}")
+    if family == "cd" and any(direction.kind != "dirichlet" for direction in directions):
+        raise ConfigurationError(f"{pde} supports only Dirichlet conditions")
+    if family == "wave" and directions[1].kind != "initial_value":
+        raise ConfigurationError("wave1d requires an initial_value temporal direction")
+    quad = lgl_rule(n_modes + _QUAD_MARGIN)
+    bases = tuple(basis_coeffs(direction, n_modes) for direction in directions)
+    masses = [assemble_1d("mass", basis, quad) for basis in bases]
+    stiffness = [assemble_1d("stiffness", basis, quad) for basis in bases]
 
-    def build_direction(dir_bc: DirectionBC):
-        basis = basis_coeffs(dir_bc, n_modes)
-        quad = lgl_rule(quad_order)
-        return basis, quad
+    def along(i: int, mat: np.ndarray) -> np.ndarray:
+        # mat on direction i, the mass matrix on every other; first direction fastest
+        factors = [mat if j == i else m for j, m in enumerate(masses)]
+        return functools.reduce(lambda fast, slow: np.kron(slow, fast), factors)
 
-    if pde in ("rd1d", "helm1d", "cd1d", "joint_helm") and len(directions) == 1:
-        basis, quad = build_direction(directions[0])
-        s = assemble_1d("stiffness", basis, quad)
-        m = assemble_1d("mass", basis, quad)
-        if pde == "rd1d":
-            eps = float(params["epsilon"])
-            matrix = -eps * s + m
-            parts = None
-        elif pde == "helm1d":
-            k2 = float(params["k_squared"])
-            matrix = s + k2 * m
-            parts = None
-        elif pde == "cd1d":
-            if directions[0].kind != "dirichlet":
-                raise ConfigurationError("cd1d supports only Dirichlet conditions")
-            eps = float(params["epsilon"])
-            nu = float(params.get("nu", 1.0))
-            r = assemble_1d("convection", basis, quad)
-            matrix = -eps * s + nu * r
-            parts = None
-        else:  # joint_helm, 1D
-            k2 = float(params.get("k_squared", 0.0))
-            matrix = s + k2 * m
-            parts = (s, m)
-        return SpectralSystem(
-            pde=pde,
-            matrix=matrix,
-            bases=(basis,),
-            quads=(quad,),
-            domains=((-1.0, 1.0),),
-            params=params,
-            parametric_parts=parts,
-        )
-
-    if pde == "wave1d":
-        if len(directions) != 2:
-            raise ConfigurationError("wave1d needs a spatial and a temporal direction")
-        space_bc, time_bc = directions
-        if time_bc.kind != "initial_value":
-            raise ConfigurationError("wave1d requires an initial_value temporal direction")
-        basis_x, quad_x = build_direction(space_bc)
-        basis_t, quad_t = build_direction(time_bc)
-        sx = assemble_1d("stiffness", basis_x, quad_x)
-        mx = assemble_1d("mass", basis_x, quad_x)
-        st = assemble_1d("stiffness", basis_t, quad_t)
-        mt = assemble_1d("mass", basis_t, quad_t)
-        jx = 2.0 / 1.0  # x in [0, 1]
-        jt = 2.0 / wave_horizon
-        matrix = jt * jt * _kron2(st, mx) - jx * jx * _kron2(mt, sx)
-        return SpectralSystem(
-            pde=pde,
-            matrix=matrix,
-            bases=(basis_x, basis_t),
-            quads=(quad_x, quad_t),
-            domains=((0.0, 1.0), (0.0, wave_horizon)),
-            params={**params, "wave_horizon": wave_horizon},
-        )
-
-    if pde in ("rd2d", "helm2d", "cd2d", "joint_helm") and len(directions) == 2:
-        basis_x, quad_x = build_direction(directions[0])
-        basis_y, quad_y = build_direction(directions[1])
-        sx = assemble_1d("stiffness", basis_x, quad_x)
-        mx = assemble_1d("mass", basis_x, quad_x)
-        sy = assemble_1d("stiffness", basis_y, quad_y)
-        my = assemble_1d("mass", basis_y, quad_y)
-        laplace = _kron2(my, sx) + _kron2(sy, mx)
-        mm = _kron2(my, mx)
-        if pde == "rd2d":
-            eps = float(params["epsilon"])
-            matrix = -eps * laplace + mm
-            parts = None
-        elif pde == "helm2d":
-            k2 = float(params["k_squared"])
-            matrix = laplace + k2 * mm
-            parts = None
-        elif pde == "cd2d":
-            if directions[0].kind != "dirichlet" or directions[1].kind != "dirichlet":
-                raise ConfigurationError("cd2d supports only Dirichlet conditions")
-            eps = float(params["epsilon"])
-            nu1 = float(params.get("nu1", 1.0))
-            nu2 = float(params.get("nu2", 1.0))
-            rx = assemble_1d("convection", basis_x, quad_x)
-            ry = assemble_1d("convection", basis_y, quad_y)
-            matrix = -eps * laplace + nu1 * _kron2(my, rx) + nu2 * _kron2(ry.T, mx)
-            parts = None
-        else:  # joint_helm, 2D
-            k2 = float(params.get("k_squared", 0.0))
-            matrix = laplace + k2 * mm
-            parts = (laplace, mm)
-        return SpectralSystem(
-            pde=pde,
-            matrix=matrix,
-            bases=(basis_x, basis_y),
-            quads=(quad_x, quad_y),
-            domains=((-1.0, 1.0), (-1.0, 1.0)),
-            params=params,
-            parametric_parts=parts,
-        )
-
-    raise ConfigurationError(f"unsupported pde/boundary combination: {pde} with d={len(directions)}")
+    laplace = sum(along(i, s) for i, s in enumerate(stiffness))
+    mass = along(0, masses[0])
+    domains = ((-1.0, 1.0),) * d
+    parts = None
+    if family == "rd":
+        matrix = -float(params["epsilon"]) * laplace + mass
+    elif family == "helm":
+        matrix = laplace + float(params["k_squared"]) * mass
+    elif family == "joint_helm":
+        matrix = laplace + float(params.get("k_squared", 0.0)) * mass
+        parts = (laplace, mass)
+    elif family == "cd":
+        velocity = [float(params.get(key, 1.0)) for key in _VELOCITY_KEYS[d]]
+        convection = [assemble_1d("convection", basis, quad) for basis in bases]
+        terms = (nu * along(i, r) for i, (nu, r) in enumerate(zip(velocity, convection)))
+        matrix = sum(terms, -float(params["epsilon"]) * laplace)
+    else:  # wave: x is direction 0, t direction 1
+        domains = ((0.0, 1.0), (0.0, _WAVE_HORIZON))
+        jx, jt = (2.0 / (hi - lo) for lo, hi in domains)
+        matrix = jt * jt * along(1, stiffness[1]) - jx * jx * along(0, stiffness[0])
+    return SpectralSystem(
+        pde=pde,
+        matrix=matrix,
+        bases=bases,
+        quads=(quad,) * d,
+        domains=domains,
+        parametric_parts=parts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +574,3 @@ def metrics(
         "rel_linf": float(np.max(np.abs(diff)) / ref_linf),
     }
 
-
-def export_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Row-major CSV dump with 17 significant digits (debug aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

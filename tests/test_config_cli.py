@@ -85,7 +85,7 @@ def _valid_configs(draw):
         pde=st.sampled_from(BENCHMARK_PDES),
         boundary=st.sampled_from(["dirichlet", "neumann"]),
         n_modes=_POWERS,
-        dimensions=st.integers(1, 3),
+        dimensions=st.integers(1, 2),
         epsilon=_REALS,
         k_squared=_REALS,
         nu=_REALS,
@@ -115,7 +115,7 @@ def _valid_configs(draw):
         net_seed=st.integers(-(2**63), 2**63),
         thresholds=_tuples(_REALS),
         scaling_modes=_tuples(_POWERS),
-        scaling_dims=_tuples(st.integers(1, 3)),
+        scaling_dims=_tuples(st.integers(1, 2)),
         signflip_seeds=_COUNTS,
     )
     assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -254,6 +254,21 @@ def test_modes_not_power_of_two_exit_two(tmp_path, capsys, verb, dry_run, patter
     text = re.sub(pattern, line, MINI_RUN_CFG, count=1, flags=re.M)
     _exits_two_naming(tmp_path, capsys, text, name, verb, dry_run)
 
+
+@pytest.mark.parametrize("verb", ["run", "scaling"])
+@pytest.mark.parametrize(
+    "pattern, line, name",
+    [
+        (r"^pde = .*$", "pde = joint_helm\ndimensions = 3", "[benchmark] dimensions"),
+        (r"^pde = .*$", "pde = joint_helm\ndimensions = 0", "[benchmark] dimensions"),
+        (r"\Z", "[study]\nscaling_dims = 1,3\n", "[study] scaling_dims"),
+    ],
+    ids=["dimensions-3", "dimensions-0", "scaling_dims-3"],
+)
+def test_dimensions_outside_one_two_exit_two(tmp_path, capsys, verb, pattern, line, name):
+    # before the fence, the run trained a 1D problem and scaling wrote rows labelled d=3
+    text = re.sub(pattern, line, MINI_RUN_CFG, count=1, flags=re.M)
+    _exits_two_naming(tmp_path, capsys, text, name, verb, dry_run=False)
 
 def test_failed_run_keeps_record_and_exits_one(tmp_path, monkeypatch, capsys):
     from vqspectral.errors import DegenerateDenominatorError

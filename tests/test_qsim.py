@@ -423,10 +423,3 @@ def test_shots_require_positive_count():
     with pytest.raises(ContractViolation):
         qsim.estimate_shots(qsim.zero_state(1), grouping, observable, shots=0, rng_seed=0)
 
-
-def test_amplitude_dump(tmp_path):
-    path = tmp_path / "amps.csv"
-    qsim.dump_amplitudes(qsim.build_ry_embedding([np.pi / 2]), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,re,im"
-    assert len(lines) == 3

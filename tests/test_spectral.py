@@ -244,12 +244,78 @@ def test_joint_helm_2d_split():
 
 
 def test_unsupported_combination_rejected():
-    with pytest.raises(ConfigurationError):
-        sp.assemble_system("cd1d", {"epsilon": 0.1}, BC_N, 8)
-    with pytest.raises(ConfigurationError):
-        sp.assemble_system("rd2d", {"epsilon": 0.1}, BC_D, 8)
-    with pytest.raises(ConfigurationError):
-        sp.assemble_system("wave1d", {}, BC_2D, 4)
+    neumann_2d = sp.BoundarySpec((sp.DirectionBC.neumann(),) * 2)
+    cases = [
+        ("cd1d", BC_N),
+        ("rd2d", BC_D),
+        ("wave1d", BC_2D),
+        ("wave1d", BC_D),
+        ("joint_helm", sp.BoundarySpec((sp.DirectionBC.dirichlet(),) * 3)),
+        ("helm1d", BC_2D),
+        ("cd2d", neumann_2d),
+    ]
+    for pde, bc in cases:
+        with pytest.raises(ConfigurationError):
+            sp.assemble_system(pde, {"epsilon": 0.1, "k_squared": 4.0}, bc, 4)
+
+
+_PARAMS = {"epsilon": 0.37, "k_squared": 2.3, "nu": 0.7, "nu1": 0.7, "nu2": -1.3}
+
+
+def _written_out(pde, bc, n_modes):
+    """Each family's operator and (B, C) split, Kronecker term by Kronecker term.
+
+    The slow (second) direction is the left factor; cd is -eps Lap u - nu.grad u
+    and the wave lives on x in [0, 1] (J = 2), t in [0, 2] (J = 1).
+    """
+    quad = sp.lgl_rule(n_modes + 4)
+    bases = [sp.basis_coeffs(direction, n_modes) for direction in bc.directions]
+    s, m, r = (
+        [sp.assemble_1d(kind, basis, quad) for basis in bases]
+        for kind in ("stiffness", "mass", "convection")
+    )
+    eps, k2, nu, nu1, nu2 = (_PARAMS[key] for key in ("epsilon", "k_squared", "nu", "nu1", "nu2"))
+    if len(bases) == 1:
+        (s,), (m,), (r,) = s, m, r
+        return {
+            "rd1d": (-eps * s + m, None),
+            "helm1d": (s + k2 * m, None),
+            "cd1d": (-eps * s + nu * r, None),
+            "joint_helm": (s + k2 * m, (s, m)),
+        }[pde]
+    (sx, sy), (mx, my), (rx, ry) = s, m, r
+    laplace, mass = np.kron(my, sx) + np.kron(sy, mx), np.kron(my, mx)
+    return {
+        "rd2d": (-eps * laplace + mass, None),
+        "helm2d": (laplace + k2 * mass, None),
+        "cd2d": (-eps * laplace + nu1 * np.kron(my, rx) + nu2 * np.kron(ry, mx), None),
+        "joint_helm": (laplace + k2 * mass, (laplace, mass)),
+        "wave1d": (np.kron(sy, mx) - 4.0 * np.kron(my, sx), None),
+    }[pde]
+
+
+_ELLIPTIC = [("rd1d", 1), ("helm1d", 1), ("rd2d", 2), ("helm2d", 2), ("joint_helm", 1), ("joint_helm", 2)]
+_SUPPORTED = [(pde, kind, d) for pde, d in _ELLIPTIC for kind in ("dirichlet", "neumann")] + [
+    ("cd1d", "dirichlet", 1),
+    ("cd2d", "dirichlet", 2),
+    ("wave1d", "initial_value", 2),
+]
+
+
+@pytest.mark.parametrize("n_modes", [4, 8])
+@pytest.mark.parametrize("pde, kind, d", _SUPPORTED)
+def test_assembly_matches_written_out_kronecker_sums(pde, kind, d, n_modes):
+    if kind == "initial_value":
+        bc = BC_WAVE
+    else:
+        bc = sp.BoundarySpec((getattr(sp.DirectionBC, kind)(),) * d)
+    system = sp.assemble_system(pde, _PARAMS, bc, n_modes)
+    matrix, parts = _written_out(pde, bc, n_modes)
+    assert np.array_equal(system.matrix, matrix)
+    if parts is None:
+        assert system.parametric_parts is None
+    else:
+        assert all(np.array_equal(got, want) for got, want in zip(system.parametric_parts, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +437,19 @@ def test_manufactured_cd1d():
     assert sp.metrics(solution, truth, system)["rel_l2"] <= 1e-10
 
 
+def test_manufactured_cd2d():
+    # -eps Lap u - nu1 u_x - nu2 u_y, the same convection sign as cd1d
+    eps, nu1, nu2 = 0.1, 1.0, 0.6
+    system = sp.assemble_system("cd2d", {"epsilon": eps, "nu1": nu1, "nu2": nu2}, BC_2D, 16)
+    x, y = np.meshgrid(*system.grid(), indexing="ij")
+    sx, sy, cx, cy = np.sin(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * x), np.cos(np.pi * y)
+    forcing = 2 * eps * np.pi**2 * sx * sy - np.pi * (nu1 * cx * sy + nu2 * sx * cy)
+    rhs, _ = sp.forward_transform(forcing, system)
+    solution = sp.classical_solve(system, rhs)
+    truth = sp.SolutionField(None, sx * sy)
+    assert sp.metrics(solution, truth, system)["rel_l2"] <= 1e-10
+
+
 def test_spectral_convergence_is_monotone():
     errors = []
     for n_modes in (8, 16, 32):
@@ -465,10 +544,3 @@ def test_metrics_zero_truth_guard():
     with pytest.raises(DivisionGuardError):
         sp.metrics(_fields([1.0, 2.0]), _fields([0.0, 0.0]), None)
 
-
-def test_matrix_csv_export(tmp_path):
-    path = tmp_path / "matrix.csv"
-    sp.export_matrix_csv(np.array([[1.5, -2.25], [0.1, 3.0]]), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "1.5,-2.25"
-    assert float(lines[1].split(",")[0]) == 0.1
