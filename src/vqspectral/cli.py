@@ -234,16 +234,12 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
     expansions = []
     for d in cfg.scaling_dims:
         for n_modes in cfg.scaling_modes:
-            size = n_modes**d
+            pde = cfg.pde[:-2] + f"{d}d" if cfg.pde[-2:] in ("1d", "2d") else cfg.pde
+            sub = dataclasses.replace(cfg, pde=pde, n_modes=n_modes, dimensions=d)
+            size = n_modes**sub.direction_count
             if size > _MAX_SCALING_SIZE:
                 print(f"skipping N={n_modes} d={d}: K={size} exceeds the memory guard")
                 continue
-            pde = cfg.pde
-            if d == 2 and pde.endswith("1d"):
-                pde = pde[:-2] + "2d"
-            if d == 1 and pde.endswith("2d"):
-                pde = pde[:-2] + "1d"
-            sub = dataclasses.replace(cfg, pde=pde, n_modes=n_modes, dimensions=d)
             system = build_system(sub)
             expansion = pauli.decompose(system.matrix, pde)
             normal = pauli.normal_operator(expansion)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -61,6 +62,14 @@ class ExperimentConfig:
     scaling_modes: tuple[int, ...] = (4, 8, 16, 32)
     scaling_dims: tuple[int, ...] = (1,)
     signflip_seeds: int = 10
+
+    @property
+    def direction_count(self) -> int:
+        """Directions of the benchmark's domain; its system size is n_modes ** this."""
+        if self.pde == "wave1d":  # space-time
+            return 2
+        # every other pde name ends in its dimension: rd1d, cd2d, ...
+        return self.dimensions if self.pde == "joint_helm" else int(self.pde[-2])
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """CLI --seed override: reseeds data and network deterministically."""
@@ -133,7 +142,10 @@ def _parse_value(kind, raw: str, where: str):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -143,7 +155,7 @@ def _parse_value(kind, raw: str, where: str):
         if kind == "int_list":
             return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
         if kind == "float_list":
-            return tuple(float(v) for v in raw.split(",") if v.strip()) if raw else ()
+            return tuple(_parse_value(float, v, where) for v in raw.split(",") if v.strip())
         return raw
     except ValueError:
         raise ConfigurationError(f"invalid value {raw!r} for {where}") from None
@@ -186,23 +198,26 @@ _LOWER_BOUNDS = (
 )
 
 
+# (section, key, accepted values) of the string settings
+_CHOICES = (
+    ("benchmark", "pde", BENCHMARK_PDES),
+    ("benchmark", "boundary", ("dirichlet", "neumann")),
+    ("circuit", "ansatz", ("hardware_efficient_ry", "strongly_entangling")),
+    ("network", "activation", ("relu", "gelu", "identity")),
+    ("dataset", "family", ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k")),
+    ("train", "objective", ("unnormalized", "normalized")),
+    ("train", "optimizer", ("adam", "lbfgs")),
+    ("train", "gradient_mode", ("adjoint", "parameter_shift")),
+)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.pde not in BENCHMARK_PDES:
-        raise ConfigurationError(f"unknown pde {cfg.pde!r}")
-    if cfg.boundary not in ("dirichlet", "neumann"):
-        raise ConfigurationError(f"unknown boundary {cfg.boundary!r}")
-    if cfg.ansatz not in ("hardware_efficient_ry", "strongly_entangling"):
-        raise ConfigurationError(f"unknown ansatz {cfg.ansatz!r}")
-    if cfg.activation not in ("relu", "gelu", "identity"):
-        raise ConfigurationError(f"unknown activation {cfg.activation!r}")
-    if cfg.objective not in ("unnormalized", "normalized"):
-        raise ConfigurationError(f"unknown objective {cfg.objective!r}")
-    if cfg.optimizer not in ("adam", "lbfgs"):
-        raise ConfigurationError(f"unknown optimizer {cfg.optimizer!r}")
-    if cfg.gradient_mode not in ("adjoint", "parameter_shift"):
-        raise ConfigurationError(f"unknown gradient_mode {cfg.gradient_mode!r}")
-    if cfg.family not in ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k"):
-        raise ConfigurationError(f"unknown dataset family {cfg.family!r}")
+    for section, key, choices in _CHOICES:
+        value = getattr(cfg, key)
+        if value not in choices:
+            raise ConfigurationError(
+                f"[{section}] {key} must be one of {', '.join(choices)}, got {value!r}"
+            )
     # every system size is a power of the mode count, and a circuit needs a power of two
     if not _valid_modes(cfg.n_modes):
         raise ConfigurationError(
@@ -218,12 +233,25 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"[study] scaling_dims entries must be 1 or 2, got {_fmt(cfg.scaling_dims)}"
         )
+    # trig_1d samples a line, trig_2d and wave_family a plane; joint_k draws joint_helm's k
+    wanted = {"trig_1d": 1, "trig_2d": 2, "wave_family": 2}.get(cfg.family, cfg.direction_count)
+    if wanted != cfg.direction_count or cfg.family == "joint_k" and cfg.pde != "joint_helm":
+        raise ConfigurationError(
+            f"[dataset] family {cfg.family} does not fit pde {cfg.pde}, "
+            f"which has {cfg.direction_count} direction(s)"
+        )
     for section, key, low in _LOWER_BOUNDS:
         value = getattr(cfg, _field_name(section, key))
         if not value >= low:
             raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {value}")
-    if not cfg.learning_rate > 0:
-        raise ConfigurationError(f"[train] learning_rate must be > 0, got {cfg.learning_rate}")
+    for key in ("learning_rate", "epsilon"):
+        value = getattr(cfg, _field_name("train", key))
+        if not value > 0:
+            raise ConfigurationError(f"[train] {key} must be > 0, got {value}")
+    for key in ("beta1", "beta2"):
+        value = getattr(cfg, key)
+        if not 0 <= value < 1:
+            raise ConfigurationError(f"[train] {key} must be in [0, 1), got {value}")
     if any(width < 1 for width in cfg.hidden):
         raise ConfigurationError(f"[network] hidden widths must be >= 1, got {_fmt(cfg.hidden)}")
     if not cfg.k_min <= cfg.k_max:
@@ -264,10 +292,8 @@ def build_system(cfg: ExperimentConfig):
     if cfg.pde == "wave1d":
         directions = (DirectionBC.dirichlet(), DirectionBC.initial_value())
     else:
-        # every other pde name ends in its dimension: rd1d, cd2d, ...
-        d = cfg.dimensions if cfg.pde == "joint_helm" else int(cfg.pde[-2])
         direction = DirectionBC.neumann() if cfg.boundary == "neumann" else DirectionBC.dirichlet()
-        directions = (direction,) * d
+        directions = (direction,) * cfg.direction_count
     params = {
         "epsilon": cfg.epsilon,
         "k_squared": cfg.k_squared,

@@ -12,13 +12,11 @@ fidelity cost 1 - |<F|A psi>|^2/beta is kept as the comparison baseline; it
 cannot distinguish psi from -psi, which is exactly the defect the phase-aware
 form removes.
 
-Exact-expectation evaluation applies the assembled dense operator: a fixed A,
-or A_i = B + k_i^2 C per instance when the context carries wave numbers. The
-Pauli expansions of A and A^dag A (and, for the family, of B, C and their four
-cross-products) are built on first access. They serve as references:
-``per_term=True`` evaluates gamma and beta as the explicit Pauli sums
-c_l <F|P_l|psi> and d_l <psi|P_l|psi>, and ``loss_parametric`` assembles them
-from the six fixed family expansions.
+Training and evaluation apply the assembled dense operator: a fixed A, or
+A_i = B + k_i^2 C per instance when the context carries wave numbers. For the
+family, the Pauli expansions of B, C and their four cross-products are built
+on first access; ``loss_parametric`` assembles gamma and beta from them as the
+reference for the assembled operator.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .errors import (
     DegenerateDenominatorError,
     PhaseContaminationWarning,
 )
-from .pauli import PauliExpansion, adjoint_product, decompose, normal_operator
+from .pauli import PauliExpansion, adjoint_product, decompose
 from .spectral import SolutionField, SpectralSystem, reconstruct
 
 __all__ = [
@@ -76,14 +74,6 @@ class LossContext:
     @property
     def n_instances(self) -> int:
         return self.target_states.shape[0]
-
-    @cached_property
-    def expansion_a(self) -> PauliExpansion:
-        return decompose(self.a_matrix, "A" if self.system is None else self.system.pde)
-
-    @cached_property
-    def expansion_ada(self) -> PauliExpansion:
-        return normal_operator(self.expansion_a)
 
     @cached_property
     def parametric_expansions(self) -> dict[str, PauliExpansion]:
@@ -195,19 +185,6 @@ def _overlap_beta(ctx: LossContext, applied: np.ndarray):
     return overlap, beta
 
 
-def _overlap_beta_per_term(ctx: LossContext, states: np.ndarray):
-    if ctx.k_values is not None:
-        raise ConfigurationError("per-term sums cover a fixed operator only")
-    overlap = np.array(
-        [
-            qsim.overlap_of_expansion(f.astype(complex), ctx.expansion_a, s)
-            for f, s in zip(ctx.target_states, states)
-        ]
-    )
-    beta = np.array([qsim.expectation_of_expansion(s, ctx.expansion_ada) for s in states])
-    return overlap, beta
-
-
 def _guard_beta(beta: np.ndarray) -> np.ndarray:
     if np.any(beta <= _BETA_TOL):
         raise DegenerateDenominatorError(
@@ -233,24 +210,20 @@ def _objective(objective: str, overlap: np.ndarray, beta: np.ndarray):
     raise ConfigurationError(f"unknown objective {objective!r}")
 
 
-def _loss(ctx: LossContext, states, objective: str, per_term: bool = False) -> LossValue:
-    states = _check_states(ctx, states)
-    if per_term:
-        overlap, beta = _overlap_beta_per_term(ctx, states)
-    else:
-        overlap, beta = _overlap_beta(ctx, _apply(ctx, states))
+def _loss(ctx: LossContext, states, objective: str) -> LossValue:
+    overlap, beta = _overlap_beta(ctx, _apply(ctx, _check_states(ctx, states)))
     per, _, _ = _objective(objective, overlap, _guard_beta(beta))
     return LossValue(float(per.mean()), per, overlap.real, beta)
 
 
-def loss_phase_aware(ctx: LossContext, states: np.ndarray, per_term: bool = False) -> LossValue:
+def loss_phase_aware(ctx: LossContext, states: np.ndarray) -> LossValue:
     """Normalized objective: mean over instances of 1 - gamma/sqrt(beta)."""
-    return _loss(ctx, states, "normalized", per_term)
+    return _loss(ctx, states, "normalized")
 
 
-def loss_unnormalized(ctx: LossContext, states: np.ndarray, per_term: bool = False) -> LossValue:
+def loss_unnormalized(ctx: LossContext, states: np.ndarray) -> LossValue:
     """Quadratic objective: mean of (gamma - sqrt(beta))^2; default for training."""
-    return _loss(ctx, states, "unnormalized", per_term)
+    return _loss(ctx, states, "unnormalized")
 
 
 def loss_vqls_standard(ctx: LossContext, states: np.ndarray) -> float:
@@ -307,9 +280,8 @@ def grad_total(
     each stage once on the whole batch; batch_features is shaped
     (D, *input_shape). "adjoint" differentiates the statevector exactly in
     reverse from the forward states; the "parameter_shift" mode reproduces the
-    same d(loss)/d(angle) from shifted circuit evaluations (expectations at
-    +-pi/2 divided by 2, linear overlaps divided by 2*sqrt(2)), all
-    2 * n_slots shifts of every instance in one batch. Returns
+    same d(loss)/d(angle) through qsim.parameter_shift, measuring the overlap
+    <F|A psi> as its linear part and beta as its quadratic part. Returns
     (grads, LossValue) with grads shaped like the network parameters.
     """
     d = ctx.n_instances
@@ -327,12 +299,9 @@ def grad_total(
         cot = _apply(ctx, u[:, None] * ctx.target_states + v[:, None] * applied, adjoint=True)
         dtheta = qsim.adjoint_gradient(program, angles, states, cot)
     elif gradient_mode == "parameter_shift":
-        s = program.n_slots
-        shifts = (np.pi / 2.0) * np.concatenate([np.eye(s), -np.eye(s)])
-        shifted = qsim.run_batch(program, (angles[:, None, :] + shifts).reshape(-1, s))
-        z, b = _overlap_beta(ctx, _apply(ctx, shifted.reshape(d, 2 * s, -1)))
-        dz = (z[:, :s] - z[:, s:]) / (2.0 * np.sqrt(2.0))
-        db = (b[:, :s] - b[:, s:]) / 2.0
+        dz, db = qsim.parameter_shift(
+            program, angles, lambda shifted: _overlap_beta(ctx, _apply(ctx, shifted))
+        )
         dtheta = 2.0 * (np.conj(u)[:, None] * dz).real + v[:, None] * db
     else:
         raise ConfigurationError(f"unknown gradient mode {gradient_mode!r}")

@@ -101,11 +101,6 @@ class PauliString:
         mat[cols ^ self.x_bits, cols] = _column_entries(self.x_bits, self.z_bits, cols)
         return mat
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """P @ state for state shaped (..., 2^n): (P s)[b] = P[b, b ^ x] s[b ^ x]."""
-        src = np.arange(1 << self.n_qubits) ^ self.x_bits
-        return _column_entries(self.x_bits, self.z_bits, src) * state[..., src]
-
     def product(self, other: "PauliString") -> tuple["PauliString", complex]:
         """Symbolic product self @ other = phase * result."""
         if other.n_qubits != self.n_qubits:

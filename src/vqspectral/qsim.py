@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .pauli import MeasurementGrouping, PauliExpansion, PauliString
+from .pauli import MeasurementGrouping, PauliExpansion
 
 __all__ = [
     "Gate",
@@ -31,12 +31,7 @@ __all__ = [
     "zero_state",
     "run",
     "run_batch",
-    "expectation",
-    "expectation_of_expansion",
-    "overlap",
-    "overlap_of_expansion",
-    "OverlapObservable",
-    "grad_parameter_shift",
+    "parameter_shift",
     "adjoint_gradient",
     "estimate_shots",
 ]
@@ -349,78 +344,30 @@ def run(program: GateProgram, angles: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Observables
+# Gradients
 
 
-def expectation(state: np.ndarray, pauli: PauliString) -> float:
-    """Re <s|P|s>; the imaginary part must vanish by Hermiticity."""
-    value = np.vdot(state, pauli.apply(state))
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ContractViolation(f"non-Hermitian expectation residue {value.imag:.3e}")
-    return float(value.real)
+def parameter_shift(program: GateProgram, angles: np.ndarray, measure):
+    """Two-point shift-rule derivatives for a batch (Schuld et al., arXiv:1811.11184).
 
-
-def overlap(bra: np.ndarray, pauli: PauliString, ket: np.ndarray) -> complex:
-    """Exact <bra|P|ket>."""
-    return complex(np.vdot(bra, pauli.apply(ket)))
-
-
-def expectation_of_expansion(state: np.ndarray, expansion: PauliExpansion) -> float:
-    """Re sum_l c_l <s|P_l|s>."""
-    total = 0.0 + 0.0j
-    for string, coef in expansion:
-        total += coef * np.vdot(state, string.apply(state))
-    return float(total.real)
-
-
-def overlap_of_expansion(bra: np.ndarray, expansion: PauliExpansion, ket: np.ndarray) -> complex:
-    """sum_l c_l <bra|P_l|ket>."""
-    total = 0.0 + 0.0j
-    for string, coef in expansion:
-        total += coef * np.vdot(bra, string.apply(ket))
-    return complex(total)
-
-
-@dataclass(frozen=True)
-class OverlapObservable:
-    """Linear functional Re sum_l c_l <bra|P_l|psi(theta)>."""
-
-    bra: np.ndarray
-    expansion: PauliExpansion
-
-
-def grad_parameter_shift(program: GateProgram, angles: np.ndarray, observable) -> np.ndarray:
-    """Two-point shift-rule gradient at +-pi/2 per slot.
-
-    Expectation values of a PauliExpansion are trigonometric with period 2*pi
-    in each angle, so the divisor is 2. An OverlapObservable is linear in the
-    state and has period 4*pi, so the same +-pi/2 evaluations are divided by
-    2*sqrt(2) = 4 sin(pi/4) instead.
+    Runs every row's 2S angle vectors theta +- (pi/2) e_j in one run_batch and
+    hands the states, shaped (B, 2S, 2^n) with the + shifts first, to measure.
+    It returns a (linear, quadratic) pair shaped (B, 2S): a value linear in the
+    state, like <F|A psi>, has period 4*pi in each angle, so its difference is
+    divided by 2*sqrt(2) = 4 sin(pi/4); a quadratic one, like <psi|O|psi>, has
+    period 2*pi and is divided by 2. Returns both derivatives, shaped (B, S).
     """
     angles = np.asarray(angles, dtype=float)
-    if angles.shape != (program.n_slots,):
-        raise ContractViolation(f"expected {program.n_slots} angles")
-
-    if isinstance(observable, PauliExpansion):
-        evaluate = lambda a: expectation_of_expansion(run(program, a), observable)  # noqa: E731
-        divisor = 2.0
-    elif isinstance(observable, OverlapObservable):
-        evaluate = lambda a: overlap_of_expansion(  # noqa: E731
-            observable.bra, observable.expansion, run(program, a)
-        ).real
-        divisor = 2.0 * np.sqrt(2.0)
-    else:
-        raise ContractViolation("observable must be a PauliExpansion or OverlapObservable")
-
-    grad = np.zeros(program.n_slots)
-    for j in range(program.n_slots):
-        shifted = angles.copy()
-        shifted[j] += np.pi / 2.0
-        plus = evaluate(shifted)
-        shifted[j] -= np.pi
-        minus = evaluate(shifted)
-        grad[j] = (plus - minus) / divisor
-    return grad
+    if angles.ndim != 2 or angles.shape[1] != program.n_slots:
+        raise ContractViolation("angles must be shaped (batch, n_slots)")
+    b, s = angles.shape
+    shifts = (np.pi / 2.0) * np.concatenate([np.eye(s), -np.eye(s)])
+    states = run_batch(program, (angles[:, None, :] + shifts).reshape(b * 2 * s, s))
+    linear, quadratic = measure(states.reshape(b, 2 * s, 1 << program.n_qubits))
+    return (
+        (linear[:, :s] - linear[:, s:]) / (2.0 * np.sqrt(2.0)),
+        (quadratic[:, :s] - quadratic[:, s:]) / 2.0,
+    )
 
 
 def adjoint_gradient(

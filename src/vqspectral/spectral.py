@@ -86,15 +86,6 @@ def legendre_eval(degree: int, x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def legendre_deriv(degree: int, x) -> np.ndarray:
-    """dL_degree/dx evaluated at x, x in [-1, 1]."""
-    if degree < 0:
-        raise ContractViolation("degree must be >= 0")
-    _, ders = legendre_table(degree, x)
-    out = ders[degree]
-    return out if np.ndim(x) else float(out[0])
-
-
 def _legendre_endpoint(degree: int, sign: int) -> tuple[float, float]:
     # L_k(+-1) = (+-1)^k, L_k'(+-1) = (+-1)^(k-1) k(k+1)/2
     val = 1.0 if (sign > 0 or degree % 2 == 0) else -1.0

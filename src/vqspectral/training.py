@@ -32,7 +32,6 @@ __all__ = [
     "adam_step",
     "LbfgsState",
     "lbfgs_step",
-    "lbfgs_minimize",
     "TrainConfig",
     "EpochRow",
     "RunRecord",
@@ -341,16 +340,6 @@ def lbfgs_step(state: LbfgsState, closure) -> LbfgsState:
             state.s_hist.pop(0)
             state.y_hist.pop(0)
     state.x, state.f, state.g = x_new, f_new, g_new
-    return state
-
-
-def lbfgs_minimize(closure, x0: np.ndarray, max_iter: int = 100, m: int = 10, gtol: float = 1e-12):
-    f0, g0 = closure(np.asarray(x0, dtype=float))
-    state = LbfgsState(x=np.asarray(x0, dtype=float).copy(), f=f0, g=g0, m=m)
-    for _ in range(max_iter):
-        if float(np.linalg.norm(state.g)) <= gtol:
-            break
-        state = lbfgs_step(state, closure)
     return state
 
 

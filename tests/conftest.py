@@ -40,6 +40,22 @@ def program_unitary(program: qsim.GateProgram, angles) -> np.ndarray:
     return mat
 
 
+def expectation(state, observable) -> float:
+    """Re <psi|O|psi> for a PauliExpansion O, summed densely through to_matrix."""
+    return float(np.vdot(state, observable.to_matrix() @ state).real)
+
+
+def shift_gradient(program: qsim.GateProgram, angles, observable) -> np.ndarray:
+    """Shift-rule gradient of <psi|O|psi> for every row of angles, shaped (B, S)."""
+    dense = observable.to_matrix()
+
+    def measure(states):
+        quadratic = np.einsum("bsi,ij,bsj->bs", states.conj(), dense, states).real
+        return np.zeros_like(quadratic), quadratic
+
+    return qsim.parameter_shift(program, angles, measure)[1]
+
+
 def random_program(n: int, rng: np.random.Generator, max_gates: int = 14) -> qsim.GateProgram:
     gates = []
     slot = 0

@@ -69,6 +69,8 @@ def test_canonicalization_idempotent():
 
 
 _REALS = st.floats(allow_nan=False, allow_infinity=False)
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
 _COUNTS = st.integers(1, 10_000)
 _POWERS = st.integers(1, 12).map(lambda e: 1 << e)
 
@@ -77,15 +79,28 @@ def _tuples(values):
     return st.lists(values, max_size=4).map(tuple)
 
 
+# the dataset families that sample a domain with this many directions
+FAMILIES_BY_DIRECTIONS = {1: ["trig_1d"], 2: ["trig_2d", "wave_family"]}
+
+
+def _directions(pde, dimensions):
+    """Written out apart from the config: wave1d is space-time, joint_helm reads dimensions."""
+    if pde == "joint_helm":
+        return dimensions
+    return 2 if pde == "wave1d" else int(pde[-2])
+
+
 @st.composite
 def _valid_configs(draw):
     """Any config _validate accepts: every field drawn, within its checked range."""
     k_min, k_max = sorted(draw(st.tuples(_REALS, _REALS)))
+    pde, dimensions = draw(st.sampled_from(BENCHMARK_PDES)), draw(st.integers(1, 2))
+    families = ["shallow_ry", *FAMILIES_BY_DIRECTIONS[_directions(pde, dimensions)]]
     values = dict(
-        pde=st.sampled_from(BENCHMARK_PDES),
+        pde=st.just(pde),
         boundary=st.sampled_from(["dirichlet", "neumann"]),
         n_modes=_POWERS,
-        dimensions=st.integers(1, 2),
+        dimensions=st.just(dimensions),
         epsilon=_REALS,
         k_squared=_REALS,
         nu=_REALS,
@@ -96,7 +111,7 @@ def _valid_configs(draw):
         activation=st.sampled_from(["relu", "gelu", "identity"]),
         conv_channels=_tuples(_COUNTS),
         conv_kernel=_COUNTS,
-        family=st.sampled_from(["shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k"]),
+        family=st.sampled_from(families + ["joint_k"] * (pde == "joint_helm")),
         train_size=_COUNTS,
         test_size=st.integers(0, 10_000),
         data_seed=st.integers(-(2**63), 2**63),
@@ -105,10 +120,10 @@ def _valid_configs(draw):
         k_is_squared=st.booleans() if k_min >= 0 else st.just(False),
         objective=st.sampled_from(["unnormalized", "normalized"]),
         optimizer=st.sampled_from(["adam", "lbfgs"]),
-        learning_rate=st.floats(0.0, 1e6, exclude_min=True),
-        beta1=_REALS,
-        beta2=_REALS,
-        adam_epsilon=_REALS,
+        learning_rate=_POSITIVE,
+        beta1=_UNIT,
+        beta2=_UNIT,
+        adam_epsilon=_POSITIVE,
         epochs=_COUNTS,
         eval_every=_COUNTS,
         gradient_mode=st.sampled_from(["adjoint", "parameter_shift"]),
@@ -166,12 +181,15 @@ def test_seed_override():
 
 def test_build_system_shapes():
     assert build_system(ExperimentConfig()).size == 16
-    cfg2 = parse_config_text("[benchmark]\npde = rd2d\nn_modes = 4\n")
+    plane = "[dataset]\nfamily = trig_2d\n"  # the default trig_1d samples a line
+    cfg2 = parse_config_text("[benchmark]\npde = rd2d\nn_modes = 4\n" + plane)
     assert build_system(cfg2).size == 16
-    wave = parse_config_text("[benchmark]\npde = wave1d\nn_modes = 4\n")
+    wave = parse_config_text("[benchmark]\npde = wave1d\nn_modes = 4\n" + plane)
     system = build_system(wave)
     assert system.size == 16 and system.direction_count == 2
-    joint2 = parse_config_text("[benchmark]\npde = joint_helm\ndimensions = 2\nn_modes = 4\n")
+    joint2 = parse_config_text(
+        "[benchmark]\npde = joint_helm\ndimensions = 2\nn_modes = 4\n" + plane
+    )
     assert build_system(joint2).parametric_parts is not None
 
 
@@ -270,6 +288,65 @@ def test_dimensions_outside_one_two_exit_two(tmp_path, capsys, verb, pattern, li
     text = re.sub(pattern, line, MINI_RUN_CFG, count=1, flags=re.M)
     _exits_two_naming(tmp_path, capsys, text, name, verb, dry_run=False)
 
+
+FLOAT_KEYS = [
+    ("benchmark", "epsilon"),
+    ("benchmark", "k_squared"),
+    ("benchmark", "nu"),
+    ("benchmark", "nu2"),
+    ("dataset", "k_min"),
+    ("dataset", "k_max"),
+    ("train", "learning_rate"),
+    ("train", "beta1"),
+    ("train", "beta2"),
+    ("train", "epsilon"),
+    ("study", "thresholds"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(section, key, value) for section, key in FLOAT_KEYS for value in ("nan", "-inf")]
+    + [
+        ("train", "beta1", "1.0"),  # used to diverge to nan mid-run
+        ("train", "beta1", "-0.5"),
+        ("train", "beta2", "-1"),
+        ("train", "beta2", "1"),
+        ("train", "epsilon", "-1"),  # used to train and exit 0
+        ("train", "epsilon", "0"),
+        ("benchmark", "pde", "heat1d"),
+        ("benchmark", "boundary", "robin"),
+        ("circuit", "ansatz", "qaoa"),
+        ("network", "activation", "tanh"),
+        ("dataset", "family", "gaussian"),
+        ("train", "objective", "mse"),
+        ("train", "optimizer", "sgd"),
+        ("train", "gradient_mode", "finite_difference"),
+    ],
+)
+def test_out_of_range_values_exit_two(tmp_path, capsys, section, key, value):
+    _exits_two_naming(tmp_path, capsys, f"[{section}]\n{key} = {value}\n", f"[{section}] {key}")
+
+
+@pytest.mark.parametrize("family", ["shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k"])
+@pytest.mark.parametrize("pde, dimensions", [(pde, 1) for pde in BENCHMARK_PDES] + [("joint_helm", 2)])
+def test_dataset_family_must_fit_pde(tmp_path, capsys, pde, dimensions, family):
+    # a misfit used to fail mid-run: an IndexError traceback or a grid-shape error
+    # (exit 1), or exit 2 from joint_k without naming the key
+    text = (
+        f"[benchmark]\npde = {pde}\nn_modes = 4\ndimensions = {dimensions}\n\n"
+        "[circuit]\nlayers = 1\n\n[network]\nhidden = 4\n\n"
+        f"[dataset]\nfamily = {family}\ntrain_size = 2\ntest_size = 2\n\n"
+        "[train]\nepochs = 1\neval_every = 1\n"
+    )
+    fits = family == "shallow_ry" or family in FAMILIES_BY_DIRECTIONS[_directions(pde, dimensions)]
+    if fits or (family == "joint_k" and pde == "joint_helm"):
+        argv = ["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+    else:
+        _exits_two_naming(tmp_path, capsys, text, "[dataset] family")
+
+
 def test_failed_run_keeps_record_and_exits_one(tmp_path, monkeypatch, capsys):
     from vqspectral.errors import DegenerateDenominatorError
 
@@ -331,13 +408,28 @@ def test_scaling_matches_golden(tmp_path):
 def test_scaling_memory_guard(tmp_path, capsys):
     cfg_path = write_cfg(
         tmp_path,
-        "[benchmark]\npde = rd2d\nepsilon = 0.1\n\n[study]\nscaling_modes = 64\nscaling_dims = 2\n",
+        "[benchmark]\npde = rd2d\nepsilon = 0.1\n\n[dataset]\nfamily = trig_2d\n\n"
+        "[study]\nscaling_modes = 64\nscaling_dims = 2\n",
     )
     out_dir = tmp_path / "scaling"
     assert cli.main(["scaling", "--config", cfg_path, "--out", str(out_dir)]) == 0
     assert "memory guard" in capsys.readouterr().out
     with open(out_dir / "scaling.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 1  # header only
+
+
+def test_scaling_memory_guard_counts_every_direction(tmp_path, capsys, monkeypatch):
+    # wave1d is space-time: at N = 64 its system has 64^2 rows, though its scaling row reads d=1
+    built = []
+    monkeypatch.setattr(cli, "build_system", built.append)
+    cfg_path = write_cfg(
+        tmp_path,
+        "[benchmark]\npde = wave1d\n\n[dataset]\nfamily = wave_family\n\n"
+        "[study]\nscaling_modes = 64\nscaling_dims = 1\n",
+    )
+    assert cli.main(["scaling", "--config", cfg_path, "--out", str(tmp_path / "scaling")]) == 0
+    assert not built
+    assert "K=4096 exceeds the memory guard" in capsys.readouterr().out
 
 
 def test_truncation_outputs_and_columns(tmp_path):

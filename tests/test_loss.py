@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from vqspectral import anglenet as an
 from vqspectral import loss as ls
+from vqspectral import pauli as pl
 from vqspectral import qsim
 from vqspectral import spectral as sp
 from vqspectral.errors import (
@@ -122,8 +123,12 @@ def test_per_term_path_matches_dense(rng):
     states = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     states /= np.linalg.norm(states, axis=1)[:, None]
     dense = ls.loss_phase_aware(ctx, states)
-    terms = ls.loss_phase_aware(ctx, states, per_term=True)
-    assert np.abs(dense.per_instance - terms.per_instance).max() <= 1e-10
+    expansion = pl.decompose(system.matrix)
+    applied = states @ expansion.to_matrix().T  # sum_l c_l P_l psi
+    gamma = np.einsum("ik,ik->i", ctx.target_states, applied).real
+    beta = np.einsum("ik,kl,il->i", states.conj(), pl.normal_operator(expansion).to_matrix(), states)
+    terms = 1.0 - gamma / np.sqrt(beta.real)
+    assert np.abs(dense.per_instance - terms).max() <= 1e-10
 
 
 def test_sign_flip_identities(rng):
@@ -213,8 +218,6 @@ def test_joint_losses_use_instance_operator(rng):
     assert abs(ls.loss_vqls_standard(ctx, states) - vqls) <= 1e-12
     imag = [ls.imag_overlap_diagnostic(ref, states[i : i + 1])[0] for i, ref in enumerate(direct)]
     assert np.abs(ls.imag_overlap_diagnostic(ctx, states) - imag).max() <= 1e-12
-    with pytest.raises(ConfigurationError):  # the per-term Pauli sums cover a fixed A only
-        ls.loss_phase_aware(ctx, states, per_term=True)
     with pytest.raises(ContractViolation):
         ls.build_loss_context(ctx.a_matrix, ctx.target_states, k_values=ctx.k_values)
 
@@ -502,8 +505,11 @@ def test_imag_overlap_diagnostic(rng):
 def test_expansions_in_context_reconstruct(rng):
     system = sp.assemble_system("cd1d", {"epsilon": 0.1, "nu": 1.0}, BC_D, 16)
     ctx = ls.context_for_system(system, rng.standard_normal((1, 16)))
-    assert np.linalg.norm(ctx.expansion_a.to_matrix() - system.matrix) <= 1e-10
+    expansion = pl.decompose(ctx.a_matrix)
+    assert np.linalg.norm(expansion.to_matrix() - system.matrix) <= 1e-10
     normal = system.matrix.T @ system.matrix
     assert (
-        np.linalg.norm(ctx.expansion_ada.to_matrix() - normal) / np.linalg.norm(normal) <= 1e-12
+        np.linalg.norm(pl.normal_operator(expansion).to_matrix() - normal)
+        / np.linalg.norm(normal)
+        <= 1e-12
     )

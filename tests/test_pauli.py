@@ -58,13 +58,6 @@ def test_product_phases_match_dense(pair):
     assert np.array_equal(a.matrix() @ b.matrix(), phase * prod.matrix())
 
 
-def test_apply_matches_matrix(rng):
-    for n in (1, 2, 3):
-        string = random_string(n, rng)
-        vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        assert np.abs(string.apply(vec) - string.matrix() @ vec).max() <= 1e-13
-
-
 def test_qubit_wise_commutation():
     s = pl.PauliString.from_text
     assert s("IZ").commutes_qubit_wise(s("ZZ"))

@@ -33,7 +33,7 @@ def test_legendre_recurrence_matches_closed_forms(rng):
     x = rng.uniform(-1, 1, 50)
     assert np.allclose(sp.legendre_eval(2, x), (3 * x**2 - 1) / 2, atol=1e-14)
     assert np.allclose(sp.legendre_eval(3, x), (5 * x**3 - 3 * x) / 2, atol=1e-14)
-    assert np.allclose(sp.legendre_deriv(3, x), (15 * x**2 - 3) / 2, atol=1e-13)
+    assert np.allclose(sp.legendre_table(3, x)[1][3], (15 * x**2 - 3) / 2, atol=1e-13)
 
 
 def test_legendre_out_of_range_rejected():
