@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import anglenet, loss as loss_mod, pauli, qsim, spectral, training
-from .config import ExperimentConfig, build_system, canonical_text, parse_config
+from .config import (
+    MAX_SYSTEM_SIZE, ExperimentConfig, build_system, canonical_text, parse_config, scaling_config,
+)
 from .errors import ConfigurationError, TruncationDegenerateError, VqSpectralError
-
-_MAX_SCALING_SIZE = 1 << 10
 
 ERROR_TABLE_COLUMNS = (
     "benchmark",
@@ -234,23 +234,22 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
     expansions = []
     for d in cfg.scaling_dims:
         for n_modes in cfg.scaling_modes:
-            pde = cfg.pde[:-2] + f"{d}d" if cfg.pde[-2:] in ("1d", "2d") else cfg.pde
-            sub = dataclasses.replace(cfg, pde=pde, n_modes=n_modes, dimensions=d)
+            sub = dataclasses.replace(scaling_config(cfg, d), n_modes=n_modes)
             size = n_modes**sub.direction_count
-            if size > _MAX_SCALING_SIZE:
+            if size > MAX_SYSTEM_SIZE:
                 print(f"skipping N={n_modes} d={d}: K={size} exceeds the memory guard")
                 continue
             system = build_system(sub)
-            expansion = pauli.decompose(system.matrix, pde)
+            expansion = pauli.decompose(system.matrix, sub.pde)
             normal = pauli.normal_operator(expansion)
             terms_a = pauli.count_measurements(expansion, grouped=False)
             groups_a = pauli.count_measurements(expansion, grouped=True)
             terms_n = pauli.count_measurements(normal, grouped=False)
             groups_n = pauli.count_measurements(normal, grouped=True)
             rows.append(
-                (pde, d, n_modes, system.size, terms_a, groups_a, terms_n, groups_n, terms_a**2)
+                (sub.pde, d, n_modes, system.size, terms_a, groups_a, terms_n, groups_n, terms_a**2)
             )
-            expansions.append((f"expansion_{pde}_d{d}_n{n_modes}.txt", expansion))
+            expansions.append((f"expansion_{sub.pde}_d{d}_n{n_modes}.txt", expansion))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
     _write_csv(out_dir / "scaling.csv", SCALING_COLUMNS, rows)

@@ -16,7 +16,17 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 from .spectral import BENCHMARK_PDES, BoundarySpec, DirectionBC, assemble_system
 
-__all__ = ["ExperimentConfig", "parse_config", "parse_config_text", "canonical_text", "build_system"]
+__all__ = [
+    "ExperimentConfig",
+    "MAX_SYSTEM_SIZE",
+    "parse_config",
+    "parse_config_text",
+    "canonical_text",
+    "scaling_config",
+    "build_system",
+]
+
+MAX_SYSTEM_SIZE = 1 << 10  # largest n_modes ** direction_count a verb builds
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,7 @@ def parse_config(path) -> ExperimentConfig:
 # (section, key, smallest allowed value) of the integer settings
 _LOWER_BOUNDS = (
     ("circuit", "layers", 1),
+    ("network", "conv_kernel", 1),
     ("dataset", "train_size", 1),
     ("dataset", "test_size", 0),
     ("train", "epochs", 1),
@@ -229,9 +240,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.dimensions not in (1, 2):
         raise ConfigurationError(f"[benchmark] dimensions must be 1 or 2, got {cfg.dimensions}")
-    if not all(d in (1, 2) for d in cfg.scaling_dims):
+    # each entry names the pde the scaling study builds, which the family table must know
+    fits = (d in (1, 2) and scaling_config(cfg, d).pde in BENCHMARK_PDES for d in cfg.scaling_dims)
+    if not all(fits):
         raise ConfigurationError(
-            f"[study] scaling_dims entries must be 1 or 2, got {_fmt(cfg.scaling_dims)}"
+            f"[study] scaling_dims entries must be 1 or 2 and name a {cfg.pde} variant, "
+            f"got {_fmt(cfg.scaling_dims)}"
+        )
+    if cfg.n_modes**cfg.direction_count > MAX_SYSTEM_SIZE:
+        raise ConfigurationError(
+            f"[benchmark] n_modes {cfg.n_modes} over {cfg.direction_count} direction(s) "
+            f"exceeds {MAX_SYSTEM_SIZE} unknowns"
         )
     # trig_1d samples a line, trig_2d and wave_family a plane; joint_k draws joint_helm's k
     wanted = {"trig_1d": 1, "trig_2d": 2, "wave_family": 2}.get(cfg.family, cfg.direction_count)
@@ -252,6 +271,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, key)
         if not 0 <= value < 1:
             raise ConfigurationError(f"[train] {key} must be in [0, 1), got {value}")
+    if cfg.conv_kernel % 2 == 0:
+        raise ConfigurationError(f"[network] conv_kernel must be odd, got {cfg.conv_kernel}")
     if any(width < 1 for width in cfg.hidden):
         raise ConfigurationError(f"[network] hidden widths must be >= 1, got {_fmt(cfg.hidden)}")
     if not cfg.k_min <= cfg.k_max:
@@ -285,6 +306,12 @@ def canonical_text(cfg: ExperimentConfig) -> str:
             out.write(f"{key} = {_fmt(getattr(cfg, _field_name(section, key)))}\n")
         out.write("\n")
     return out.getvalue()
+
+
+def scaling_config(cfg: ExperimentConfig, d: int) -> ExperimentConfig:
+    """The config the scaling study builds for a scaling_dims entry: the pde renamed to d."""
+    pde = cfg.pde[:-2] + f"{d}d" if cfg.pde[-2:] in ("1d", "2d") else cfg.pde
+    return dataclasses.replace(cfg, pde=pde, dimensions=d)
 
 
 def build_system(cfg: ExperimentConfig):

@@ -350,11 +350,11 @@ def assemble_1d(kind: str, basis: CompactBasis, quad: QuadratureRule | None = No
 class SpectralSystem:
     """Assembled operator plus everything needed to transform and evaluate.
 
-    matrix has shape (K, K) with K = prod(N per direction). For d = 2 the flat
-    index runs with the FIRST direction fastest, matching the forward
-    transform's flattening; the second direction is the slow Kronecker factor.
-    parametric_parts holds (B, C) with matrix(k) = B + k^2 C when the operator
-    family is affine in a squared coefficient.
+    matrix has shape (K, K) with K = prod(N per direction). The flat index
+    runs with the FIRST direction fastest in assembly, transform and
+    reconstruction alike. parametric_parts holds (B, C) with
+    matrix(k) = B + k^2 C when the operator family is affine in a squared
+    coefficient.
     """
 
     pde: str
@@ -372,12 +372,15 @@ class SpectralSystem:
     def direction_count(self) -> int:
         return len(self.bases)
 
+    @functools.cached_property
+    def nodal_bases(self) -> tuple[np.ndarray, ...]:
+        """(N, Q+1) basis values at the quadrature nodes per direction, tabulated on first use."""
+        return tuple(basis.eval_matrix(quad.nodes) for basis, quad in zip(self.bases, self.quads))
+
     def grid(self) -> tuple[np.ndarray, ...]:
         """Physical quadrature nodes per direction."""
-        out = []
-        for quad, (lo, hi) in zip(self.quads, self.domains):
-            out.append(lo + (hi - lo) * (quad.nodes + 1.0) / 2.0)
-        return tuple(out)
+        spans = zip(self.quads, self.domains)
+        return tuple(lo + (hi - lo) * (quad.nodes + 1.0) / 2.0 for quad, (lo, hi) in spans)
 
 
 # (pde, direction count) -> operator family; every other pair is rejected
@@ -466,32 +469,26 @@ def assemble_system(pde: str, params: dict, bc: BoundarySpec, n_modes: int) -> S
 # Transforms, solves, metrics
 
 
+def _weight_grid(system: SpectralSystem) -> np.ndarray:
+    """Tensor-product quadrature weights, one axis per direction."""
+    return functools.reduce(np.multiply.outer, (quad.weights for quad in system.quads))
+
+
 def forward_transform(f_values: np.ndarray, system: SpectralSystem) -> tuple[np.ndarray, float]:
     """Project forcing samples on the quadrature grid onto the basis.
 
-    1D input has shape (Q+1,); 2D input has shape (Qx+1, Qy+1) with the first
-    axis the fast direction. Returns (F, ||F||) with F flattened fast-first.
+    The samples carry one axis per direction. Each direction contracts the
+    leading axis with its basis table and appends its mode axis; returns
+    (F, ||F||) with F flattened first direction fastest.
     """
-    if system.direction_count == 1:
-        quad = system.quads[0]
-        f_values = np.asarray(f_values, dtype=float)
-        if f_values.shape != quad.nodes.shape:
-            raise ContractViolation(
-                f"expected {quad.nodes.shape[0]} samples, got {f_values.shape}"
-            )
-        phi = system.bases[0].eval_matrix(quad.nodes)
-        coeffs = phi @ (quad.weights * f_values)
-    else:
-        qx, qy = system.quads
-        f_values = np.asarray(f_values, dtype=float)
-        if f_values.shape != (qx.nodes.size, qy.nodes.size):
-            raise ContractViolation(
-                f"expected grid {(qx.nodes.size, qy.nodes.size)}, got {f_values.shape}"
-            )
-        phix = system.bases[0].eval_matrix(qx.nodes)
-        phiy = system.bases[1].eval_matrix(qy.nodes)
-        tensor = (phix * qx.weights) @ f_values @ (phiy * qy.weights).T
-        coeffs = tensor.T.reshape(-1)  # slow index = second direction
+    tensor = np.asarray(f_values, dtype=float)
+    shape = tuple(quad.nodes.size for quad in system.quads)
+    if tensor.shape != shape:
+        raise ContractViolation(f"expected grid {shape}, got {tensor.shape}")
+    tensor = tensor * _weight_grid(system)
+    for phi in system.nodal_bases:
+        tensor = np.tensordot(tensor, phi, axes=(0, 1))
+    coeffs = tensor.reshape(-1, order="F")
     return coeffs, float(np.linalg.norm(coeffs))
 
 
@@ -505,16 +502,12 @@ class SolutionField:
 
 
 def reconstruct(system: SpectralSystem, coefficients: np.ndarray) -> np.ndarray:
-    """Nodal values of sum_k alpha_k phi_k on the quadrature grid."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if system.direction_count == 1:
-        phi = system.bases[0].eval_matrix(system.quads[0].nodes)
-        return coefficients @ phi
-    n = system.bases[0].n_modes
-    grid_coeffs = coefficients.reshape(-1, n)  # (j_slow, k_fast)
-    phix = system.bases[0].eval_matrix(system.quads[0].nodes)
-    phiy = system.bases[1].eval_matrix(system.quads[1].nodes)
-    return phix.T @ grid_coeffs.T @ phiy  # (Qx+1, Qy+1)
+    """Nodal values of sum_k alpha_k phi_k on the quadrature grid, one axis per direction."""
+    modes = tuple(basis.n_modes for basis in system.bases)
+    tensor = np.asarray(coefficients, dtype=float).reshape(modes, order="F")
+    for phi in system.nodal_bases:
+        tensor = np.tensordot(tensor, phi, axes=(0, 0))
+    return tensor
 
 
 def classical_solve(system: SpectralSystem, rhs: np.ndarray) -> SolutionField:
@@ -529,32 +522,14 @@ def classical_solve(system: SpectralSystem, rhs: np.ndarray) -> SolutionField:
     return SolutionField(coefficients=alpha, nodal_values=reconstruct(system, alpha))
 
 
-def _quad_weights_grid(system: SpectralSystem) -> np.ndarray:
-    if system.direction_count == 1:
-        return system.quads[0].weights
-    wx = system.quads[0].weights
-    wy = system.quads[1].weights
-    return np.outer(wx, wy)
-
-
-def metrics(
-    pred: SolutionField,
-    truth: SolutionField,
-    quad: QuadratureRule | SpectralSystem | None = None,
-) -> dict:
+def metrics(pred: SolutionField, truth: SolutionField, system: SpectralSystem | None = None) -> dict:
     """MAE, relative L2 (quadrature-weighted) and relative L-infinity errors.
 
-    Passing a SpectralSystem tensorizes the weights for 2D grids; passing None
-    falls back to unweighted vectors (synthetic systems without a grid).
+    None weighs every value by 1 (synthetic systems without a grid).
     """
     diff = np.asarray(pred.nodal_values) - np.asarray(truth.nodal_values)
     ref = np.asarray(truth.nodal_values)
-    if isinstance(quad, SpectralSystem):
-        w = _quad_weights_grid(quad)
-    elif isinstance(quad, QuadratureRule):
-        w = quad.weights
-    else:
-        w = np.ones_like(ref)
+    w = np.ones_like(ref) if system is None else _weight_grid(system)
     ref_l2 = np.sqrt(np.sum(w * ref * ref))
     ref_linf = np.max(np.abs(ref))
     if ref_l2 == 0.0 or ref_linf == 0.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,8 +26,7 @@ __all__ = [
     "Dataset",
     "generate_dataset",
     "feature_batch",
-    "trig_forcing_1d",
-    "trig_forcing_2d",
+    "trig_forcing",
     "wave_forcing",
     "AdamState",
     "adam_step",
@@ -44,12 +44,9 @@ __all__ = [
 FAMILIES = ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k")
 
 
-def trig_forcing_1d(h1, m1, h2, m2, x):
-    return h1 * np.sin(m1 * x) + h2 * np.cos(m2 * x)
-
-
-def trig_forcing_2d(h1, m1, h2, m2, x, y):
-    return h1 * np.sin(m1 * (x + y)) + h2 * np.cos(m2 * (x + y))
+def trig_forcing(h1, m1, h2, m2, s):
+    """Trigonometric forcing of the coordinate sum s (x, or x + y on a plane)."""
+    return h1 * np.sin(m1 * s) + h2 * np.cos(m2 * s)
 
 
 def wave_forcing(omega, x, t):
@@ -106,11 +103,11 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
     """
     rng = np.random.default_rng(spec.seed)
     resamples = 0
+    mesh = np.meshgrid(*system.grid(), indexing="ij")
 
     def draw_batch(count: int) -> Split:
         nonlocal resamples
         features, rows, ks, truths = [], [], [], []
-        grids = system.grid()
         for _ in range(count):
             for _attempt in range(100):
                 k_val = None
@@ -121,34 +118,18 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
                     theta = rng.uniform(0.0, 2.0 * np.pi, n)
                     raw = qsim.build_ry_embedding(theta).real.copy()
                     feat = raw.copy()
-                elif spec.family == "trig_1d":
-                    h1, h2, m1, m2 = rng.uniform(0.0, 1.0, 4)
-                    feat = trig_forcing_1d(h1, m1, h2, m2, grids[0])
-                    raw, _ = forward_transform(feat, system)
-                elif spec.family == "trig_2d":
-                    h1, h2, m1, m2 = rng.uniform(0.0, 1.0, 4)
-                    x, y = np.meshgrid(grids[0], grids[1], indexing="ij")
-                    feat = trig_forcing_2d(h1, m1, h2, m2, x, y)
-                    raw, _ = forward_transform(feat, system)
                 elif spec.family == "wave_family":
-                    omega = rng.uniform(1.0, 2.0)
-                    x, t = np.meshgrid(grids[0], grids[1], indexing="ij")
-                    feat = wave_forcing(omega, x, t)
+                    feat = wave_forcing(rng.uniform(1.0, 2.0), *mesh)
                     raw, _ = forward_transform(feat, system)
-                elif spec.family == "joint_k":
-                    if system.parametric_parts is None:
-                        raise ConfigurationError("joint_k needs a parametric system")
-                    drawn = rng.uniform(spec.k_min, spec.k_max)
-                    k_val = float(np.sqrt(drawn)) if spec.k_is_squared else float(drawn)
+                else:  # trig_1d, trig_2d or joint_k; DatasetSpec admits no other family
+                    if spec.family == "joint_k":
+                        if system.parametric_parts is None:
+                            raise ConfigurationError("joint_k needs a parametric system")
+                        drawn = rng.uniform(spec.k_min, spec.k_max)
+                        k_val = float(np.sqrt(drawn)) if spec.k_is_squared else float(drawn)
                     h1, h2, m1, m2 = rng.uniform(0.0, 1.0, 4)
-                    if system.direction_count == 1:
-                        feat = trig_forcing_1d(h1, m1, h2, m2, grids[0])
-                    else:
-                        x, y = np.meshgrid(grids[0], grids[1], indexing="ij")
-                        feat = trig_forcing_2d(h1, m1, h2, m2, x, y)
+                    feat = trig_forcing(h1, m1, h2, m2, sum(mesh))
                     raw, _ = forward_transform(feat, system)
-                else:  # pragma: no cover - guarded by DatasetSpec
-                    raise ConfigurationError(spec.family)
                 if np.linalg.norm(raw) > 1e-10:
                     break
                 resamples += 1
@@ -428,32 +409,22 @@ def _split_loss(ctx, states, objective):
 
 def evaluate_split(ctx, program, net, features, truths, objective):
     """Loss plus solution-error metrics of one split, features shaped (D, *input_shape)."""
-    import warnings as _warnings
-
     if len(features) == 0:
         return {"loss": float("nan"), "rel_l2": float("nan"), "rel_linf": float("nan"), "mae": float("nan")}
     states = qsim.run_batch(program, anglenet.forward(net, features))
-    total = _split_loss(ctx, states, objective)
-    rel2, relinf, mae = [], [], []
-    with _warnings.catch_warnings():
+    out = {"loss": _split_loss(ctx, states, objective)}
+    with warnings.catch_warnings():
         # intermediate states legitimately carry phase residue; only final
         # recoveries should warn
-        _warnings.simplefilter("ignore")
-        for i, truth in enumerate(truths):
-            rec = loss_mod.recover_solution(states[i], ctx, i)
-            m = metrics(rec, truth, ctx.system)
-            rel2.append(m["rel_l2"])
-            relinf.append(m["rel_linf"])
-            mae.append(m["mae"])
-    return {
-        "loss": total,
-        "rel_l2": float(np.mean(rel2)),
-        "rel_linf": float(np.mean(relinf)),
-        "mae": float(np.mean(mae)),
-        "per_instance_rel_l2": rel2,
-        "per_instance_rel_linf": relinf,
-        "per_instance_mae": mae,
-    }
+        warnings.simplefilter("ignore")
+        found = [
+            metrics(loss_mod.recover_solution(states[i], ctx, i), truth, ctx.system)
+            for i, truth in enumerate(truths)
+        ]
+    for key in ("rel_l2", "rel_linf", "mae"):
+        out[f"per_instance_{key}"] = [m[key] for m in found]
+        out[key] = float(np.mean(out[f"per_instance_{key}"]))
+    return out
 
 
 def _check_loss(total: float) -> None:

@@ -99,7 +99,7 @@ def _valid_configs(draw):
     values = dict(
         pde=st.just(pde),
         boundary=st.sampled_from(["dirichlet", "neumann"]),
-        n_modes=_POWERS,
+        n_modes=st.integers(1, 10 // _directions(pde, dimensions)).map(lambda e: 1 << e),
         dimensions=st.just(dimensions),
         epsilon=_REALS,
         k_squared=_REALS,
@@ -110,7 +110,7 @@ def _valid_configs(draw):
         hidden=_tuples(_COUNTS),
         activation=st.sampled_from(["relu", "gelu", "identity"]),
         conv_channels=_tuples(_COUNTS),
-        conv_kernel=_COUNTS,
+        conv_kernel=_COUNTS.map(lambda k: 2 * k - 1),
         family=st.sampled_from(families + ["joint_k"] * (pde == "joint_helm")),
         train_size=_COUNTS,
         test_size=st.integers(0, 10_000),
@@ -130,7 +130,7 @@ def _valid_configs(draw):
         net_seed=st.integers(-(2**63), 2**63),
         thresholds=_tuples(_REALS),
         scaling_modes=_tuples(_POWERS),
-        scaling_dims=_tuples(st.integers(1, 2)),
+        scaling_dims=_tuples(st.just(1) if pde == "wave1d" else st.integers(1, 2)),  # no wave2d
         signflip_seeds=_COUNTS,
     )
     assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -287,6 +287,53 @@ def test_dimensions_outside_one_two_exit_two(tmp_path, capsys, verb, pattern, li
     # before the fence, the run trained a 1D problem and scaling wrote rows labelled d=3
     text = re.sub(pattern, line, MINI_RUN_CFG, count=1, flags=re.M)
     _exits_two_naming(tmp_path, capsys, text, name, verb, dry_run=False)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("pde", BENCHMARK_PDES)
+def test_scaling_dims_must_name_a_buildable_pde(tmp_path, capsys, pde, d):
+    # wave1d with scaling_dims = 2 passed parsing, then scaling stopped at assembly with
+    # "unsupported pde/boundary combination: wave2d with d=2", naming no key
+    family = FAMILIES_BY_DIRECTIONS[_directions(pde, 1)][0]
+    text = (
+        f"[benchmark]\npde = {pde}\n\n[dataset]\nfamily = {family}\n\n"
+        f"[study]\nscaling_modes = 4\nscaling_dims = {d}\n"
+    )
+    if pde == "wave1d" and d == 2:
+        _exits_two_naming(tmp_path, capsys, text, "[study] scaling_dims", "scaling", dry_run=False)
+    else:
+        argv = ["scaling", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("kernel", [0, -1, 2, 4])
+def test_conv_kernel_must_be_odd_and_positive(tmp_path, capsys, kernel):
+    # conv_kernel = 0 on helm1d ran and exited 0; conv_kernel = 2 on rd2d passed the dry
+    # run, then failed at run time with "conv kernel must be odd", naming no key
+    text = MINI_RUN_CFG.replace("hidden = 24\n", f"hidden = 24\nconv_kernel = {kernel}\n")
+    _exits_two_naming(tmp_path, capsys, text, "[network] conv_kernel")
+
+
+@pytest.mark.parametrize("verb", ["run", "truncation", "scaling", "signflip"])
+@pytest.mark.parametrize(
+    "pde, family, n_modes",
+    [
+        ("helm1d", "trig_1d", 2048),
+        ("helm1d", "trig_1d", 65536),
+        ("rd2d", "trig_2d", 64),
+        ("wave1d", "wave_family", 64),
+    ],
+)
+def test_system_size_guard_exits_two(tmp_path, capsys, verb, pde, family, n_modes):
+    # helm1d at n_modes = 65536 passed the dry run; a real run would build a ~68 GB operator
+    text = f"[benchmark]\npde = {pde}\nn_modes = {n_modes}\n\n[dataset]\nfamily = {family}\n"
+    _exits_two_naming(tmp_path, capsys, text, "[benchmark] n_modes", verb)
+
+
+def test_system_size_guard_admits_the_limit():
+    assert parse_config_text("[benchmark]\nn_modes = 1024\n").n_modes == 1024
+    text = "[benchmark]\npde = rd2d\nn_modes = 32\n\n[dataset]\nfamily = trig_2d\n"
+    assert build_system(parse_config_text(text)).size == cli.MAX_SYSTEM_SIZE
 
 
 FLOAT_KEYS = [

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqspectral import spectral as sp
 from vqspectral.errors import (
@@ -16,6 +19,7 @@ BC_D = sp.BoundarySpec((sp.DirectionBC.dirichlet(),))
 BC_N = sp.BoundarySpec((sp.DirectionBC.neumann(),))
 BC_2D = sp.BoundarySpec((sp.DirectionBC.dirichlet(), sp.DirectionBC.dirichlet()))
 BC_WAVE = sp.BoundarySpec((sp.DirectionBC.dirichlet(), sp.DirectionBC.initial_value()))
+BC_DN = sp.BoundarySpec((sp.DirectionBC.dirichlet(), sp.DirectionBC.neumann()))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +387,30 @@ def test_forward_transform_2d_separable_product(rng):
     fx, _ = sp.forward_transform(gx, sys1d)
     fy, _ = sp.forward_transform(hy, sys1d)
     assert np.abs(coeffs - np.kron(fy, fx)).max() < 1e-12
+
+
+@functools.cache
+def _layout_system(pde, n_modes):
+    # every direction has its own basis, so a swapped pair of axes cannot go unseen
+    bc = {"helm1d": BC_D, "helm2d": BC_DN, "wave1d": BC_WAVE}[pde]
+    return sp.assemble_system(pde, {"k_squared": 4.0}, bc, n_modes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["helm1d", "helm2d", "wave1d"]),
+    st.sampled_from([4, 8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_transform_of_reconstruction_is_tensor_mass(pde, n_modes, seed):
+    # LGL order N + 4 integrates every product of two basis functions exactly, so
+    # projecting the nodal values of c gives the Kronecker mass matrix, first direction fastest
+    system = _layout_system(pde, n_modes)
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, system.size)
+    masses = [sp.assemble_1d("mass", basis) for basis in system.bases]
+    mass = functools.reduce(lambda fast, slow: np.kron(slow, fast), masses)
+    coeffs, _ = sp.forward_transform(sp.reconstruct(system, c), system)
+    assert np.abs(coeffs - mass @ c).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

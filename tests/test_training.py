@@ -32,7 +32,7 @@ def helm_system(n_modes=16):
 
 def test_trig_family_special_case_is_sine():
     x = np.linspace(-1, 1, 33)
-    assert np.array_equal(tr.trig_forcing_1d(1.0, 1.0, 0.0, 0.7, x), np.sin(x))
+    assert np.array_equal(tr.trig_forcing(1.0, 1.0, 0.0, 0.7, x), np.sin(x))
 
 
 def test_wave_family_at_omega_one():
@@ -403,6 +403,32 @@ def test_training_path_builds_no_pauli_data(pde, family, monkeypatch):
         data.ctx_test, program, net, data.test_features, data.test_truth, "unnormalized"
     )
     assert np.isfinite(value.total) and np.isfinite(result["rel_l2"])
+
+
+@pytest.mark.parametrize(
+    "pde, bc, family", [("helm1d", BC_D, "trig_1d"), ("wave1d", BC_WAVE, "wave_family")]
+)
+def test_grid_basis_tabulated_once_per_system(pde, bc, family, monkeypatch):
+    system = sp.assemble_system(pde, {"k_squared": 4.0}, bc, 4)
+    nodes = system.quads[0].nodes
+    tabulate = sp.CompactBasis.eval_matrix
+    on_grid = []
+
+    def counting(basis, x, derivative=0):
+        on_grid.append(np.array_equal(x, nodes))
+        return tabulate(basis, x, derivative)
+
+    monkeypatch.setattr(sp.CompactBasis, "eval_matrix", counting)
+    dataset = tr.generate_dataset(tr.DatasetSpec(family, 3, 2, seed=4), system)
+    program = qsim.build_hardware_efficient_ry(system.size.bit_length() - 1, 2)
+    width = dataset.train.features[0].size
+    spec = an.NetworkSpec((width,), (an.Dense(width, program.n_slots),))
+    data = tr.TrainData.from_dataset(dataset, system, spec.input_shape)
+    result = tr.evaluate_split(
+        data.ctx_test, program, an.init(spec, 0), data.test_features, data.test_truth, "normalized"
+    )
+    assert np.isfinite(result["rel_l2"])
+    assert 0 < sum(on_grid) <= system.direction_count
 
 
 def test_run_record_roundtrip(tmp_path):
