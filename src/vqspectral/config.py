@@ -83,7 +83,9 @@ class ExperimentConfig:
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """CLI --seed override: reseeds data and network deterministically."""
-        return dataclasses.replace(self, data_seed=seed, net_seed=seed + 1)
+        seeded = dataclasses.replace(self, data_seed=seed, net_seed=seed + 1)
+        _validate(seeded)  # a negative seed exits 2 here, naming [dataset] seed
+        return seeded
 
 
 _SCHEMA = {
@@ -183,7 +185,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
-                raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
+                raise ConfigurationError(f"unknown key [{section}] {key}")
             values[_field_name(section, key)] = _parse_value(
                 _SCHEMA[section][key], raw, f"[{section}] {key}"
             )
@@ -203,8 +205,10 @@ _LOWER_BOUNDS = (
     ("network", "conv_kernel", 1),
     ("dataset", "train_size", 1),
     ("dataset", "test_size", 0),
+    ("dataset", "seed", 0),
     ("train", "epochs", 1),
     ("train", "eval_every", 1),
+    ("train", "seed", 0),
     ("study", "signflip_seeds", 1),
 )
 
@@ -273,8 +277,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"[train] {key} must be in [0, 1), got {value}")
     if cfg.conv_kernel % 2 == 0:
         raise ConfigurationError(f"[network] conv_kernel must be odd, got {cfg.conv_kernel}")
-    if any(width < 1 for width in cfg.hidden):
-        raise ConfigurationError(f"[network] hidden widths must be >= 1, got {_fmt(cfg.hidden)}")
+    for key in ("hidden", "conv_channels"):
+        widths = getattr(cfg, key)
+        if any(width < 1 for width in widths):
+            raise ConfigurationError(f"[network] {key} widths must be >= 1, got {_fmt(widths)}")
     if not cfg.k_min <= cfg.k_max:
         raise ConfigurationError(f"[dataset] k_min {cfg.k_min} exceeds k_max {cfg.k_max}")
     if cfg.k_is_squared and not cfg.k_min >= 0:

@@ -7,15 +7,18 @@ significant bit, and every operation accepts a leading batch axis so that a
 whole training batch advances through the same program in lockstep.
 
 A program is compiled once, on first use, into a short list of fused steps
-(GateProgram.compiled): each run of CNOTs is one basis-index gather, each run of
-hadamards one constant matrix, and each set of rotations on distinct qubits
-one rotation step. The forward run and the adjoint sweep walk the same list.
+(GateProgram.compiled) of two kinds: each run of CNOTs is one basis-index
+gather, and a local step turns every qubit by one 2x2 unitary, the hadamards
+that reached it since its last step followed by at most one rotation. The
+forward run walks the list, and the adjoint sweep walks it back, undoing each
+local step by the conjugate transpose of its forward factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -37,7 +40,12 @@ __all__ = [
 ]
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_SDG_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
+# measuring a letter is measuring Z after H (X) or H S^dag (Y); transposed
+_MEASURE_T = {
+    "X": _H_MATRIX.T,
+    "Y": np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0),
+    "Z": np.eye(2, dtype=complex),
+}
 # G = -i P per rotation kind, so that R(theta) = cos(theta/2) I + sin(theta/2) G
 _GENERATOR = {
     "ry": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
@@ -150,11 +158,29 @@ def zero_state(n: int, batch: int | None = None) -> np.ndarray:
     return state
 
 
-def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply one 2x2 matrix on one qubit; state shaped (B, 2^n)."""
-    batch = state.shape[0]
-    s = state.reshape(batch, 1 << qubit, 2, 1 << (n - qubit - 1))
-    return np.einsum("ij,aljr->alir", matrix, s).reshape(batch, -1)
+def _kron(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of one 2x2 matrix per qubit, mats shaped (..., n, 2, 2):
+    Kronecker pairs for qubits (0, 1), (2, 3), ... shaped (..., n // 2, 4, 4)
+    and the lone last qubit of odd n shaped (..., n % 2, 2, 2)."""
+    pairs = mats.shape[-3] // 2
+    kron = mats[..., 0 : 2 * pairs : 2, :, None, :, None] * mats[..., 1::2, None, :, None, :]
+    return kron.reshape(kron.shape[:-4] + (4, 4)), mats[..., 2 * pairs :, :, :]
+
+
+def _turn(state: np.ndarray, pairs: np.ndarray, lones: np.ndarray) -> np.ndarray:
+    """Turn every qubit of a (B, ..., 2^n) state by its own 2x2 matrix M_q,
+    given as the factors _kron builds from the transposes M_q^T, shaped
+    (B, n // 2, 4, 4) and (B, n % 2, 2, 2). Each factor multiplies the state's
+    leading qubits from the right and leaves them last, so after all of them
+    the state is back in its own qubit order."""
+    shape = state.shape
+    size = prod(shape[1:])  # explicit sizes keep an empty batch reshapeable
+    for group in (pairs, lones):
+        for factor in group.swapaxes(0, 1):
+            width = factor.shape[-1]
+            block = state.reshape(shape[:-1] + (width, shape[-1] // width)).swapaxes(-1, -2)
+            state = (block.reshape(shape[0], size // width, width) @ factor).reshape(shape)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,77 +198,53 @@ class _Gather:
 
 
 @dataclass(frozen=True, eq=False)
-class _Fixed:
-    """A run of hadamards as one constant matrix M, applied as state @ M^T."""
+class _Local:
+    """One step that turns every qubit q by U_q = R_q(theta) C_q.
 
-    forward: np.ndarray  # M^T
-    backward: np.ndarray  # (M^dag)^T
-
-    def apply(self, state: np.ndarray, factors) -> np.ndarray:
-        return (state.reshape(-1, state.shape[-1]) @ self.forward).reshape(state.shape)
-
-    def undo(self, state: np.ndarray, factors) -> np.ndarray:
-        return (state.reshape(-1, state.shape[-1]) @ self.backward).reshape(state.shape)
-
-
-@dataclass(frozen=True, eq=False)
-class _Rotations:
-    """Rotations on distinct qubits, which commute, applied as one step.
-
-    The step applies row `row` of the factors that _Compiled.factors builds:
-    one 4x4 Kronecker factor per qubit pair (0, 1), (2, 3), ... and a lone
-    2x2 for odd n. Each factor multiplies the state's leading qubits from the
-    right, transposed, and leaves them last, so after all of them the state is
-    back in its own qubit order; factors built from the negated angles undo
-    the step the same way. For the step's k slots, the tables give
-    (G_j psi)[i] = phase[j, i] * psi[index[j, i]], since every generator is
-    diagonal or anti-diagonal.
+    C_q is the product of the hadamards that reached q since its last step,
+    and R_q(theta) = cos(theta/2) I + sin(theta/2) G the rotation, if any,
+    that follows them. The step applies row `row` of the factors that _kron
+    builds from _Compiled.turns; the conjugate transposes of the same factors
+    undo it. Since dU_q/dtheta = G U_q / 2, qubit q's slot reads G on the
+    state with the step applied, where (G psi)[i] = phase[q, i] * psi[index[q, i]].
+    A qubit the step does not rotate has slot -1 and phase 0.
     """
 
     row: int
-    slots: np.ndarray  # (k,)
-    index: np.ndarray  # (k, 2^n)
-    phase: np.ndarray  # (k, 2^n)
+    slots: np.ndarray  # (n,)
+    index: np.ndarray  # (n, 2^n)
+    phase: np.ndarray  # (n, 2^n)
 
     def apply(self, state: np.ndarray, factors) -> np.ndarray:
-        shape = state.shape
-        for group in factors:
-            for factor in group[:, self.row].swapaxes(0, 1):
-                width = factor.shape[-1]
-                block = state.reshape(shape[:-1] + (width, -1)).swapaxes(-1, -2)
-                state = (block.reshape(shape[0], -1, width) @ factor).reshape(shape)
-        return state
+        return _turn(state, *(group[:, self.row] for group in factors))
 
     undo = apply
 
     def gradient(self, stacked: np.ndarray) -> np.ndarray:
-        """Re(lambda^dag G_j phi) = d L / d theta_j for every slot, stacked (B, 2, 2^n)."""
+        """Re(lambda^dag G_q phi) = d L / d theta for every qubit's slot, stacked (B, 2, 2^n)."""
         phi, lam = stacked[:, 0], stacked[:, 1]
         return np.einsum("bki,ki,bi->bk", phi[:, self.index], self.phase, lam.conj()).real
 
 
 @dataclass(frozen=True, eq=False)
 class _Compiled:
-    """The fused steps of a program and the per-qubit data of its R rotation
-    steps. Qubit q of rotation step r turns by cos(theta/2) I + sin(theta/2) G
-    with theta from slot slot_of_qubit[r, q]; where the step leaves q alone,
-    scale and G are 0, which gives I."""
+    """The fused steps of a program and the per-qubit data of its R local
+    steps. Qubit q of local step r turns by U = cos(theta/2) C + sin(theta/2) G C
+    with theta from slot slot_of_qubit[r, q]; where the step rotates q not at
+    all, the slot is -1, which reads a zero angle, and G C is 0, so U = C."""
 
     steps: tuple
     slot_of_qubit: np.ndarray  # (R, n)
-    scale: np.ndarray  # (R, n): 0.5 where the step turns the qubit, else 0
-    generators_t: np.ndarray  # (R, n, 2, 2), each G transposed
+    fixed_t: np.ndarray  # (R, n, 2, 2): each C transposed
+    turned_t: np.ndarray  # (R, n, 2, 2): each G C transposed
 
-    def factors(self, angles: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every rotation step's factors for sign * angles in one vectorized pass:
-        pair factors (B, R, n // 2, 4, 4) and lone factors (B, R, n % 2, 2, 2)."""
-        half = angles[:, self.slot_of_qubit] * (sign * self.scale)
-        mats = np.cos(half)[..., None, None] * np.eye(2) + np.sin(half)[..., None, None] * (
-            self.generators_t
-        )  # (B, R, n, 2, 2)
-        pairs = mats.shape[2] // 2
-        kron = mats[:, :, 0 : 2 * pairs : 2, :, None, :, None] * mats[:, :, 1::2, None, :, None, :]
-        return kron.reshape(kron.shape[:3] + (4, 4)), mats[:, :, 2 * pairs :]
+    def turns(self, angles: np.ndarray) -> np.ndarray:
+        """Every local step's U^T for a batch of angles, shaped (B, R, n, 2, 2)."""
+        padded = np.concatenate((angles, np.zeros((len(angles), 1))), axis=1)
+        half = padded[:, self.slot_of_qubit] * 0.5
+        return np.cos(half)[..., None, None] * self.fixed_t + np.sin(half)[..., None, None] * (
+            self.turned_t
+        )
 
 
 def _compile(program: GateProgram) -> _Compiled:
@@ -250,41 +252,56 @@ def _compile(program: GateProgram) -> _Compiled:
 
     A gate joins the first step of its kind after the last step that touched
     its qubits, and a new step at the end when there is none; every step it
-    passes acts on other qubits, so it commutes with them. An h or cnot may
-    also join that last step itself, since a fixed step composes its gates in
-    order; a rotation may not, so a rotation step holds each qubit once.
+    passes acts on other qubits, so it commutes with them. It may also join
+    that last step itself where the step composes it in order: a cnot joins a
+    gather, and an h or a rotation joins a local step that has not rotated
+    its qubit yet. So a local step turns each qubit by its hadamards, then at
+    most one rotation, and an h after a rotation starts the next local step.
     """
     n = program.n_qubits
     runs: list[tuple[str, list[Gate]]] = []
     last = [-1] * n  # the last step that touched each qubit
+    open_turn = [False] * n  # whether that step is local and has not rotated the qubit
     for gate in program.gates:
-        kind = "rot" if gate.kind in _GENERATOR else gate.kind
+        kind = "cnot" if gate.kind == "cnot" else "local"
         qubits = (gate.control, gate.target) if kind == "cnot" else (gate.target,)
         touched = max(last[q] for q in qubits)
-        first = touched + 1 if kind == "rot" else max(touched, 0)
-        at = next((i for i in range(first, len(runs)) if runs[i][0] == kind), len(runs))
+        first = touched if kind == "cnot" or open_turn[gate.target] else touched + 1
+        at = next((i for i in range(max(first, 0), len(runs)) if runs[i][0] == kind), len(runs))
         if at == len(runs):
             runs.append((kind, []))
         runs[at][1].append(gate)
         for q in qubits:
             last[q] = at
+            open_turn[q] = gate.kind == "h"
 
-    steps, rotations = [], []
-    for kind, gates in runs:
-        if kind == "rot":
-            steps.append(_build_rotations(gates, n, row=len(rotations)))
-            rotations.append(gates)
-        else:
-            steps.append(_build_gather(gates, n) if kind == "cnot" else _build_fixed(gates, n))
-    slot_of_qubit = np.zeros((len(rotations), n), dtype=int)
-    scale = np.zeros((len(rotations), n))
-    generators_t = np.zeros((len(rotations), n, 2, 2), dtype=complex)
-    for row, gates in enumerate(rotations):
+    rows = [gates for kind, gates in runs if kind == "local"]
+    slot_of_qubit = np.full((len(rows), n), -1)
+    fixed_t = np.zeros((len(rows), n, 2, 2), dtype=complex) + np.eye(2)
+    generators = np.zeros((len(rows), n, 2, 2), dtype=complex)
+    for row, gates in enumerate(rows):
         for g in gates:
-            slot_of_qubit[row, g.target] = g.slot
-            scale[row, g.target] = 0.5
-            generators_t[row, g.target] = _GENERATOR[g.kind].T
-    return _Compiled(tuple(steps), slot_of_qubit, scale, generators_t)
+            if g.kind == "h":  # (H C)^T = C^T H^T
+                fixed_t[row, g.target] = fixed_t[row, g.target] @ _H_MATRIX.T
+            else:
+                slot_of_qubit[row, g.target] = g.slot
+                generators[row, g.target] = _GENERATOR[g.kind]
+    # each G is diagonal, or anti-diagonal and flips its qubit's bit; an unrotated qubit's is 0
+    masks = 1 << np.arange(n - 1, -1, -1)[:, None]  # (n, 1)
+    bits = (np.arange(1 << n) & masks != 0).astype(int)  # (n, 2^n)
+    flips = (generators[..., 0, 0] == 0)[..., None]  # (R, n, 1)
+    index = np.arange(1 << n) ^ (masks * flips)  # (R, n, 2^n)
+    phase = np.take_along_axis(  # G[b, b ^ flip] for the qubit's bit b of each basis index
+        generators.reshape(len(rows), n, 4), 2 * bits + (bits ^ flips), axis=-1
+    )
+    steps, row = [], 0
+    for kind, gates in runs:
+        if kind == "cnot":
+            steps.append(_build_gather(gates, n))
+        else:
+            steps.append(_Local(row, slot_of_qubit[row], index[row], phase[row]))
+            row += 1
+    return _Compiled(tuple(steps), slot_of_qubit, fixed_t, fixed_t @ generators.swapaxes(-1, -2))
 
 
 def _build_gather(gates: list[Gate], n: int) -> _Gather:
@@ -297,27 +314,6 @@ def _build_gather(gates: list[Gate], n: int) -> _Gather:
     return _Gather(perm, np.argsort(perm))
 
 
-def _build_fixed(gates: list[Gate], n: int) -> _Fixed:
-    rows = np.eye(1 << n, dtype=complex)  # row j evolves to (M e_j)^T, so rows ends as M^T
-    for gate in gates:
-        rows = _apply_single(rows, _H_MATRIX, gate.target, n)
-    return _Fixed(rows, rows.conj().T.copy())
-
-
-def _build_rotations(gates: list[Gate], n: int, row: int) -> _Rotations:
-    generators = np.stack([_GENERATOR[g.kind] for g in gates])  # (k, 2, 2)
-    flips = (generators[:, 0, 0] == 0)[:, None]  # an anti-diagonal G flips its qubit's bit
-    masks = np.array([1 << (n - 1 - g.target) for g in gates])[:, None]
-    index = np.arange(1 << n)
-    bits = (index & masks != 0).astype(int)  # (k, 2^n)
-    return _Rotations(
-        row=row,
-        slots=np.array([g.slot for g in gates]),
-        index=index ^ (masks * flips),
-        phase=generators[np.arange(len(gates))[:, None], bits, bits ^ flips],
-    )
-
-
 def run_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     """Run the program for a batch of angle vectors; returns (B, 2^n)."""
     angles = np.asarray(angles, dtype=float)
@@ -326,7 +322,7 @@ def run_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
             f"expected angles shaped (batch, {program.n_slots}), got {angles.shape}"
         )
     compiled = program.compiled
-    factors = compiled.factors(angles, 1.0)
+    factors = _kron(compiled.turns(angles))
     state = zero_state(program.n_qubits, batch=angles.shape[0])
     for step in compiled.steps:
         state = step.apply(state, factors)
@@ -378,10 +374,12 @@ def adjoint_gradient(
     states are the forward outputs run_batch(program, angles), which the
     caller already holds; cotangents hold dL/d(conj psi) per batch row, i.e.
     dL = 2 Re(lambda^dag d psi). Walks the compiled steps backwards, undoing
-    each on the state and the cotangent stacked as one (B, 2, 2^n) array. A
-    rotation R = exp(theta G / 2) contributes Re(lambda^dag G psi) evaluated
-    with its step still applied; the rotations of one step commute, so every
-    slot of the step reads the same pair.
+    each on the state and the cotangent stacked as one (B, 2, 2^n) array: a
+    gather by its inverse permutation, a local step by the conjugate
+    transpose of its forward factors. A rotation R = exp(theta G / 2)
+    contributes Re(lambda^dag G psi) evaluated with its local step still
+    applied; the turns of one step act on distinct qubits and commute, so
+    every slot of the step reads the same pair.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != program.n_slots:
@@ -391,14 +389,15 @@ def adjoint_gradient(
     if not phi.shape == lam.shape == (angles.shape[0], 1 << program.n_qubits):
         raise ContractViolation("states and cotangents must be shaped (batch, 2^n)")
     compiled = program.compiled
-    factors = compiled.factors(angles, -1.0)
+    # the conjugate transposes of the forward factors, as views of kron(conj U^T)
+    factors = tuple(f.swapaxes(-1, -2) for f in _kron(compiled.turns(angles).conj()))
     stacked = np.stack((phi, lam), axis=1)
-    grads = np.zeros_like(angles)
+    grads = np.zeros((len(angles), program.n_slots + 1))  # slot -1 takes unrotated qubits
     for step in reversed(compiled.steps):
-        if isinstance(step, _Rotations):
+        if isinstance(step, _Local):
             grads[:, step.slots] = step.gradient(stacked)
         stacked = step.undo(stacked, factors)
-    return grads
+    return grads[:, :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +420,17 @@ def estimate_shots(
     if shots < 1:
         raise ContractViolation("shots must be >= 1")
     state = np.asarray(state, dtype=complex)
-    n = expansion.n_qubits
     rng = np.random.default_rng(rng_seed)
     total = 0.0 + 0.0j
     for group, basis in zip(grouping.groups, grouping.basis_rotations):
-        rotated = state[None, :]
-        for q, letter in enumerate(basis):
-            if letter == "X":
-                rotated = _apply_single(rotated, _H_MATRIX, q, n)
-            elif letter == "Y":
-                rotated = _apply_single(rotated, _SDG_MATRIX, q, n)
-                rotated = _apply_single(rotated, _H_MATRIX, q, n)
-        probs = np.abs(rotated[0]) ** 2
+        turn = np.array([[_MEASURE_T[letter] for letter in basis]])  # (1, n, 2, 2)
+        probs = np.abs(_turn(state[None, :], *_kron(turn))[0]) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         nonzero = np.nonzero(counts)[0]
         for idx in group:
             string, coef = expansion.terms[idx]
-            signs = 1.0 - 2.0 * (
-                np.bitwise_count((nonzero & string.support_mask).astype(np.uint64)).astype(
-                    np.int64
-                )
-                & 1
-            )
+            signs = 1.0 - 2.0 * (np.bitwise_count(nonzero & string.support_mask) & 1)
             total += coef * float(np.sum(counts[nonzero] * signs) / shots)
     return {"estimate": float(total.real), "circuits_used": grouping.n_groups}
 

@@ -510,15 +510,22 @@ def reconstruct(system: SpectralSystem, coefficients: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def classical_solve(system: SpectralSystem, rhs: np.ndarray) -> SolutionField:
-    """Direct dense solve of the spectral system; the ground-truth oracle."""
+def classical_solve(
+    system: SpectralSystem, rhs: np.ndarray, k: float | None = None
+) -> SolutionField:
+    """Direct dense solve of the spectral system; the ground-truth oracle.
+    A given k solves a parametric system's instance operator B + k^2 C."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.size,):
         raise ContractViolation(f"rhs must have length {system.size}")
-    cond = np.linalg.cond(system.matrix)
+    matrix = system.matrix
+    if k is not None:
+        b, c = system.parametric_parts
+        matrix = b + (k * k) * c
+    cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularSystemError("spectral operator is numerically singular", cond)
-    alpha = np.linalg.solve(system.matrix, rhs)
+    alpha = np.linalg.solve(matrix, rhs)
     return SolutionField(coefficients=alpha, nodal_values=reconstruct(system, alpha))
 
 

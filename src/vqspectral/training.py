@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,11 +138,7 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
             features.append(feat)
             rows.append(raw)
             ks.append(k_val)
-            instance_system = system
-            if k_val is not None:  # the instance operator B + k^2 C
-                b, c = system.parametric_parts
-                instance_system = replace(system, matrix=b + (k_val * k_val) * c)
-            truths.append(classical_solve(instance_system, raw))
+            truths.append(classical_solve(system, raw, k_val))
         k_arr = None if ks[0] is None else np.array(ks, dtype=float)
         return Split(features=features, raw_targets=np.array(rows), k_values=k_arr, truth=truths)
 

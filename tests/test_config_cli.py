@@ -1,6 +1,10 @@
+import configparser
+import contextlib
 import csv
 import dataclasses
+import io
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -114,7 +118,7 @@ def _valid_configs(draw):
         family=st.sampled_from(families + ["joint_k"] * (pde == "joint_helm")),
         train_size=_COUNTS,
         test_size=st.integers(0, 10_000),
-        data_seed=st.integers(-(2**63), 2**63),
+        data_seed=st.integers(0, 2**63),  # numpy seeds are non-negative
         k_min=st.just(k_min),
         k_max=st.just(k_max),
         k_is_squared=st.booleans() if k_min >= 0 else st.just(False),
@@ -127,7 +131,7 @@ def _valid_configs(draw):
         epochs=_COUNTS,
         eval_every=_COUNTS,
         gradient_mode=st.sampled_from(["adjoint", "parameter_shift"]),
-        net_seed=st.integers(-(2**63), 2**63),
+        net_seed=st.integers(0, 2**63),  # numpy seeds are non-negative
         thresholds=_tuples(_REALS),
         scaling_modes=_tuples(_POWERS),
         scaling_dims=_tuples(st.just(1) if pde == "wave1d" else st.integers(1, 2)),  # no wave2d
@@ -369,6 +373,10 @@ FLOAT_KEYS = [
         ("train", "objective", "mse"),
         ("train", "optimizer", "sgd"),
         ("train", "gradient_mode", "finite_difference"),
+        ("dataset", "seed", "-1"),  # used to raise a numpy traceback at the first draw
+        ("train", "seed", "-1"),
+        ("network", "conv_channels", "4,-2"),  # used to raise a numpy traceback
+        ("network", "conv_channels", "0"),  # used to run with an empty channel
     ],
 )
 def test_out_of_range_values_exit_two(tmp_path, capsys, section, key, value):
@@ -392,6 +400,109 @@ def test_dataset_family_must_fit_pde(tmp_path, capsys, pde, dimensions, family):
         assert cli.main(argv) == 0
     else:
         _exits_two_naming(tmp_path, capsys, text, "[dataset] family")
+
+
+ENUMS = {
+    ("benchmark", "pde"): BENCHMARK_PDES,
+    ("benchmark", "boundary"): ("dirichlet", "neumann"),
+    ("circuit", "ansatz"): ("hardware_efficient_ry", "strongly_entangling"),
+    ("network", "activation"): ("relu", "gelu", "identity"),
+    ("dataset", "family"): ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k"),
+    ("train", "objective"): ("unnormalized", "normalized"),
+    ("train", "optimizer"): ("adam", "lbfgs"),
+    ("train", "gradient_mode"): ("adjoint", "parameter_shift"),
+}
+_NON_FINITE = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"])
+_BELOW = lambda low: st.integers(max_value=low - 1)  # noqa: E731
+_NOT_POWER = st.one_of(_BELOW(2), st.integers(3, 10**6).filter(lambda v: v & (v - 1)))
+
+
+def _list_holding(bad, good):
+    """A comma list of good values with one bad value at a drawn position."""
+    return st.tuples(st.lists(good, max_size=3), bad, st.lists(good, max_size=3)).map(
+        lambda parts: ",".join(str(v) for v in (*parts[0], parts[1], *parts[2]))
+    )
+
+
+# (section, key) -> invalid values for the settings the base config below reads
+# as integers; the base is helm1d, one direction, so n_modes above 1024 is too big
+OUT_OF_RANGE_INTS = {
+    ("benchmark", "n_modes"): st.one_of(_NOT_POWER, st.integers(11, 40).map(lambda e: 1 << e)),
+    ("benchmark", "dimensions"): st.integers().filter(lambda v: v not in (1, 2)),
+    ("circuit", "layers"): _BELOW(1),
+    ("network", "hidden"): _list_holding(_BELOW(1), _COUNTS),
+    ("network", "conv_channels"): _list_holding(_BELOW(1), _COUNTS),
+    ("network", "conv_kernel"): st.one_of(_BELOW(1), st.integers(1, 10**6).map(lambda k: 2 * k)),
+    ("dataset", "train_size"): _BELOW(1),
+    ("dataset", "test_size"): _BELOW(0),
+    ("dataset", "seed"): _BELOW(0),
+    ("train", "epochs"): _BELOW(1),
+    ("train", "eval_every"): _BELOW(1),
+    ("train", "seed"): _BELOW(0),
+    ("study", "scaling_modes"): _list_holding(_NOT_POWER, _POWERS),
+    ("study", "scaling_dims"): _list_holding(st.integers().filter(lambda v: v not in (1, 2)), st.just(1)),
+    ("study", "signflip_seeds"): _BELOW(1),
+}
+
+
+def _known_keys():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(canonical_text(ExperimentConfig()))
+    return {section: set(parser[section]) for section in parser.sections()}
+
+
+@st.composite
+def _invalid_entries(draw):
+    """One (section, key, raw value) that the parser must reject by name."""
+    kind = draw(st.sampled_from(["enum", "non_finite", "int_range", "unknown_key"]))
+    if kind == "enum":
+        section, key = draw(st.sampled_from(sorted(ENUMS)))
+        words = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+        return section, key, draw(words.filter(lambda w: w not in ENUMS[section, key]))
+    if kind == "non_finite":
+        section, key = draw(st.sampled_from(FLOAT_KEYS))
+        if key == "thresholds":
+            return section, key, draw(_list_holding(_NON_FINITE, _UNIT))
+        return section, key, draw(_NON_FINITE)
+    if kind == "int_range":
+        section, key = draw(st.sampled_from(sorted(OUT_OF_RANGE_INTS)))
+        return section, key, str(draw(OUT_OF_RANGE_INTS[section, key]))
+    known = _known_keys()
+    section = draw(st.sampled_from(sorted(known)))
+    key = draw(st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True).filter(
+        lambda k: k not in known[section]
+    ))
+    return section, key, draw(st.sampled_from(["1", "x", "0.5", ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invalid_entries(), st.sampled_from(["run", "truncation", "scaling", "signflip"]))
+def test_invalid_configs_exit_two_naming_the_key(entry, verb):
+    section, key, value = entry
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(MINI_RUN_CFG)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "experiment.cfg"
+        with path.open("w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out, err = io.StringIO(), io.StringIO()
+        argv = [verb, "--config", str(path), "--out", str(Path(tmp) / "o"), "--dry-run"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code == 2 and not out.getvalue()
+    assert f"[{section}] {key}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    # --seed -1 used to pass the dry run and raise a numpy traceback in a real run
+    cfg_path = write_cfg(tmp_path, MINI_RUN_CFG)
+    argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", "-1", "--dry-run"]
+    assert cli.main(argv) == 2
+    assert "[dataset] seed" in capsys.readouterr().err
 
 
 def test_failed_run_keeps_record_and_exits_one(tmp_path, monkeypatch, capsys):

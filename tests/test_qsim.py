@@ -123,10 +123,12 @@ def test_unknown_gate_kind_rejected():
 
 @pytest.mark.parametrize("layers", [1, 2, 3, 8])
 def test_compiled_step_counts_fixed_per_layer(layers):
+    # each layer is one local step and one gather; HE-RY's hadamards join its
+    # first local step, and SE's RY RZ RY take three local steps
     hardware = {len(qsim.build_hardware_efficient_ry(n, layers).compiled.steps) for n in range(2, 7)}
     entangling = {len(qsim.build_strongly_entangling(n, layers).compiled.steps) for n in range(2, 7)}
-    assert len(hardware) == 1 and hardware.pop() <= 2 * layers + 1
-    assert len(entangling) == 1 and entangling.pop() <= 4 * layers
+    assert hardware == {2 * layers}
+    assert entangling == {4 * layers}
 
 
 def test_program_compiles_once(monkeypatch, rng):
@@ -171,6 +173,21 @@ SCHEDULING_CASES = {
             _G("ry", 1, slot=3), _G("cnot", 0, control=1), _G("rz", 1, slot=4),
         ),
         5,
+    ),
+    # the h after qubit 0's last rotation leaves a trailing local step with no rotation
+    "h_after_last_rotation": qsim.GateProgram(
+        2,
+        (
+            _G("ry", 0, slot=0), _G("ry", 1, slot=1), _G("cnot", 1, control=0),
+            _G("rz", 0, slot=2), _G("h", 0),
+        ),
+        3,
+    ),
+    # qubit 1 idles, so both of qubit 0's local steps turn it by the identity
+    "h_ry_h_rz_beside_idle_qubit": qsim.GateProgram(
+        2,
+        (_G("h", 0), _G("ry", 0, slot=0), _G("h", 0), _G("rz", 0, slot=1)),
+        2,
     ),
 }
 
@@ -338,6 +355,19 @@ def test_shots_deterministic_outcome():
     grouping = pl.group_commuting(observable)
     out = qsim.estimate_shots(qsim.zero_state(1), grouping, observable, shots=64, rng_seed=0)
     assert out == {"estimate": 1.0, "circuits_used": 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 99])
+def test_shots_exact_in_x_and_y_bases(seed):
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    cases = [("X", plus), ("Y", plus_i), ("XY", np.kron(plus, plus_i))]  # +1 eigenstates
+    for text, state in cases:
+        observable = pl.PauliExpansion(len(text), ((pl.PauliString.from_text(text), 1.0 + 0j),))
+        assert expectation(state, observable) == pytest.approx(1.0, abs=1e-12)
+        grouping = pl.group_commuting(observable)
+        out = qsim.estimate_shots(state, grouping, observable, shots=64, rng_seed=seed)
+        assert out == {"estimate": 1.0, "circuits_used": 1}
 
 
 def test_shots_converge_with_sample_size():

@@ -431,6 +431,21 @@ def test_grid_basis_tabulated_once_per_system(pde, bc, family, monkeypatch):
     assert 0 < sum(on_grid) <= system.direction_count
 
 
+def test_joint_truth_solves_share_the_basis_tables(monkeypatch):
+    system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, 16)
+    tabulate = sp.CompactBasis.eval_matrix
+    calls = []
+
+    def counting(basis, x, derivative=0):
+        calls.append(None)
+        return tabulate(basis, x, derivative)
+
+    monkeypatch.setattr(sp.CompactBasis, "eval_matrix", counting)
+    dataset = tr.generate_dataset(tr.DatasetSpec("joint_k", 20, 50, seed=3), system)
+    assert len(dataset.test.truth) == 50
+    assert len(calls) == system.direction_count
+
+
 def test_run_record_roundtrip(tmp_path):
     config = tr.TrainConfig(objective="normalized", epochs=60, learning_rate=0.01, eval_every=20)
     record = tr.train(config, toy_data(), toy_program(), toy_net())
