@@ -9,7 +9,7 @@ differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "Conv2d",
     "NetworkSpec",
     "NetworkState",
+    "Tape",
     "init",
     "forward",
     "backward",
@@ -31,26 +32,32 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def _activation(name: str, x: np.ndarray) -> np.ndarray:
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    # products, not x**3: numpy's power is ~50x slower for that exponent
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+
+
+def _activation(name: str, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """The activation at x; GELU takes its tanh term t from the caller when given."""
     if name == "relu":
         return np.maximum(x, 0.0)
     if name == "gelu":
         # tanh approximation; absolute error below 1e-3, negligible next to
         # training noise and free of an erf dependency
-        inner = _GELU_C * (x + _GELU_A * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
+        t = _gelu_tanh(x) if t is None else t
+        return 0.5 * x * (1.0 + t)
     if name == "identity":
         return x
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
-def _activation_deriv(name: str, x: np.ndarray) -> np.ndarray:
+def _activation_deriv(name: str, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """The activation's derivative at x; t as in _activation."""
     if name == "relu":
         return (x > 0.0).astype(float)
     if name == "gelu":
-        inner = _GELU_C * (x + _GELU_A * x**3)
-        t = np.tanh(inner)
-        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+        t = _gelu_tanh(x) if t is None else t
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
     if name == "identity":
         return np.ones_like(x)
     raise ConfigurationError(f"unknown activation {name!r}")
@@ -153,11 +160,22 @@ def _conv_windows(padded: np.ndarray, kernel: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
 
 
-def _forward_cached(state: NetworkState, features: np.ndarray):
-    """Batched forward pass: output (D, out_dim), per-layer (input, pre-activation), lead axes.
+@dataclass
+class Tape:
+    """What one forward pass leaves for backward.
 
-    A single instance of shape ``input_shape`` runs as a batch of one; ``lead``
-    is () for it and (D,) for a batch, so callers reshape back with it.
+    lead is () for a single instance and (D,) for a batch; layers holds, per
+    layer, (input, pre-activation, GELU tanh or None), batched.
+    """
+
+    lead: tuple = ()
+    layers: list = field(default_factory=list)
+
+
+def _forward_cached(state: NetworkState, features: np.ndarray, tape: Tape) -> np.ndarray:
+    """Batched forward pass recorded on tape; returns the (D, out_dim) output.
+
+    A single instance of shape ``input_shape`` runs as a batch of one.
     """
     x = np.asarray(features, dtype=float)
     shape = state.spec.input_shape
@@ -167,7 +185,7 @@ def _forward_cached(state: NetworkState, features: np.ndarray):
             f"features shaped {x.shape}, spec expects {shape} or (batch, *{shape})"
         )
     x = x.reshape((-1,) + shape)
-    cache = []
+    tape.lead, tape.layers = lead, []
     for layer, w, b in zip(state.spec.layers, state.weights, state.biases):
         if isinstance(layer, Dense):
             x = x.reshape(x.shape[0], layer.in_dim)
@@ -177,36 +195,55 @@ def _forward_cached(state: NetworkState, features: np.ndarray):
             x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
             pre = np.einsum("ocij,dchwij->dohw", w, _conv_windows(x, layer.kernel))
             pre += b[:, None, None]
-        cache.append((x, pre))
-        x = _activation(layer.activation, pre)
-    return x, cache, lead
+        t = _gelu_tanh(pre) if layer.activation == "gelu" else None
+        tape.layers.append((x, pre, t))
+        x = _activation(layer.activation, pre, t)
+    return x
 
 
-def forward(state: NetworkState, features: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one instance or on a (D, *input_shape) batch."""
-    out, _, lead = _forward_cached(state, features)
-    return out.reshape(lead + out.shape[1:])
+def forward(state: NetworkState, features: np.ndarray, *, tape: Tape | None = None) -> np.ndarray:
+    """Evaluate the network on one instance or on a (D, *input_shape) batch.
+
+    A given tape records this pass, so that backward on the same state and
+    features differentiates it without running the layers again; training
+    runs one forward pass per epoch this way.
+    """
+    tape = Tape() if tape is None else tape
+    out = _forward_cached(state, features, tape)
+    return out.reshape(tape.lead + out.shape[1:])
 
 
 def backward(
-    state: NetworkState, features: np.ndarray, output_cotangent: np.ndarray
+    state: NetworkState,
+    features: np.ndarray,
+    output_cotangent: np.ndarray,
+    *,
+    tape: Tape | None = None,
 ) -> tuple[list, np.ndarray]:
     """Exact gradients of sum_d <cotangent_d, output_d> for every weight and bias.
 
     Takes one instance or a (D, *input_shape) batch with cotangents shaped
     like the output. Returns (grads, input_gradient): grads is a list of
     (dW, db) pairs aligned with the layers, summed over the batch, and the
-    input gradient has one row per instance.
+    input gradient has one row per instance. A tape that forward filled for
+    the same state and features is differentiated as recorded, GELU's tanh
+    included; without one, backward runs the forward pass itself. Both give
+    the same bits.
     """
-    out, cache, lead = _forward_cached(state, features)
+    if tape is None:
+        tape = Tape()
+        _forward_cached(state, features, tape)
     delta = np.asarray(output_cotangent, dtype=float)
-    if delta.shape != lead + out.shape[1:]:
+    out_shape = tape.layers[-1][1].shape[1:] if tape.layers else state.spec.input_shape
+    if delta.shape != tape.lead + out_shape:
         raise ContractViolation("cotangent shape mismatch")
     grads: list = [None] * len(state.spec.layers)
     for idx in reversed(range(len(state.spec.layers))):
         layer, w = state.spec.layers[idx], state.weights[idx]
-        x_in, pre = cache[idx]
-        delta = delta.reshape(pre.shape) * _activation_deriv(layer.activation, pre)
+        x_in, pre, t = tape.layers[idx]
+        delta = delta.reshape(pre.shape)
+        if layer.activation != "identity":
+            delta = delta * _activation_deriv(layer.activation, pre, t)
         if isinstance(layer, Dense):
             grads[idx] = (delta.T @ x_in, delta.sum(axis=0))
             delta = delta @ w
@@ -223,7 +260,7 @@ def backward(
                     "dohw,oc->dchw", delta, w[:, :, di, dj]
                 )
         delta = dpadded[:, :, pad : pad + h, pad : pad + wd]
-    return grads, delta.reshape(lead + state.spec.input_shape)
+    return grads, delta.reshape(tape.lead + state.spec.input_shape)
 
 
 def save_checkpoint(state: NetworkState, path) -> None:

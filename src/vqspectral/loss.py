@@ -277,7 +277,8 @@ def grad_total(
     """Mean-over-batch network-parameter gradients of the chosen objective.
 
     The chain runs features -> angles (network) -> state (circuit) -> loss,
-    each stage once on the whole batch; batch_features is shaped
+    each stage once on the whole batch, and the network's backward pass
+    differentiates the tape its forward pass recorded; batch_features is shaped
     (D, *input_shape). "adjoint" differentiates the statevector exactly in
     reverse from the forward states; the "parameter_shift" mode reproduces the
     same d(loss)/d(angle) through qsim.parameter_shift, measuring the overlap
@@ -286,7 +287,8 @@ def grad_total(
     """
     d = ctx.n_instances
     features = np.asarray(batch_features, dtype=float)
-    angles = anglenet.forward(net, features)
+    tape = anglenet.Tape()
+    angles = anglenet.forward(net, features, tape=tape)
     if angles.shape != (d, program.n_slots):
         raise ContractViolation(f"angles shaped {angles.shape}, expected ({d}, {program.n_slots})")
     states = qsim.run_batch(program, angles)
@@ -306,7 +308,7 @@ def grad_total(
     else:
         raise ConfigurationError(f"unknown gradient mode {gradient_mode!r}")
 
-    grads, _ = anglenet.backward(net, features, dtheta / d)  # the batch mean's cotangent
+    grads, _ = anglenet.backward(net, features, dtheta / d, tape=tape)  # the batch mean's cotangent
     return grads, value
 
 

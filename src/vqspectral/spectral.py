@@ -377,6 +377,11 @@ class SpectralSystem:
         """(N, Q+1) basis values at the quadrature nodes per direction, tabulated on first use."""
         return tuple(basis.eval_matrix(quad.nodes) for basis, quad in zip(self.bases, self.quads))
 
+    @functools.cached_property
+    def condition(self) -> float:
+        """2-norm condition number of the fixed operator, computed on first use."""
+        return float(np.linalg.cond(self.matrix))
+
     def grid(self) -> tuple[np.ndarray, ...]:
         """Physical quadrature nodes per direction."""
         spans = zip(self.quads, self.domains)
@@ -514,15 +519,20 @@ def classical_solve(
     system: SpectralSystem, rhs: np.ndarray, k: float | None = None
 ) -> SolutionField:
     """Direct dense solve of the spectral system; the ground-truth oracle.
-    A given k solves a parametric system's instance operator B + k^2 C."""
+
+    A given k solves a parametric system's instance operator B + k^2 C and
+    checks that operator's conditioning; the fixed operator is checked once
+    per system.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.size,):
         raise ContractViolation(f"rhs must have length {system.size}")
-    matrix = system.matrix
-    if k is not None:
+    if k is None:
+        matrix, cond = system.matrix, system.condition
+    else:
         b, c = system.parametric_parts
         matrix = b + (k * k) * c
-    cond = np.linalg.cond(matrix)
+        cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularSystemError("spectral operator is numerically singular", cond)
     alpha = np.linalg.solve(matrix, rhs)

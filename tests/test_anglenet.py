@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vqspectral import anglenet as an
 from vqspectral.errors import ConfigurationError, ContractViolation
@@ -221,6 +224,28 @@ def test_batch_shape_mismatches_rejected(rng):
         an.backward(net, np.zeros((3, 4)), np.zeros((2, 2)))  # cotangent rows
 
 
+@pytest.mark.parametrize("batch", [None, 4])
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_backward_from_tape_is_bit_identical(kind, batch, rng):
+    if kind == "dense":
+        layers = (an.Dense(6, 9, "gelu"), an.Dense(9, 7, "relu"), an.Dense(7, 5), an.Dense(5, 3, "gelu"))
+        spec = an.NetworkSpec((6,), layers)
+    else:
+        spec = conv_spec()
+    net = an.init(spec, 5)
+    lead = () if batch is None else (batch,)
+    x = rng.standard_normal(lead + spec.input_shape)
+    cot = rng.standard_normal(lead + (spec.layers[-1].out_dim,))
+
+    tape = an.Tape()
+    assert np.array_equal(an.forward(net, x, tape=tape), an.forward(net, x))
+    taped, dx_taped = an.backward(net, x, cot, tape=tape)
+    fresh, dx_fresh = an.backward(net, x, cot)
+    assert np.array_equal(dx_taped, dx_fresh)
+    for (dw_t, db_t), (dw_f, db_f) in zip(taped, fresh, strict=True):
+        assert np.array_equal(dw_t, dw_f) and np.array_equal(db_t, db_f)
+
+
 # ---------------------------------------------------------------------------
 # Activations
 
@@ -242,6 +267,25 @@ def test_gelu_close_to_exact_erf_form(rng):
     x = rng.uniform(-4, 4, 200)
     exact = np.array([0.5 * v * (1 + erf(v / np.sqrt(2))) for v in x])
     assert np.abs(an._activation("gelu", x) - exact).max() <= 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(1, 64), elements=st.floats(-20.0, 20.0)))
+def test_gelu_products_match_the_power_formulas(x):
+    c, a = an._GELU_C, an._GELU_A
+    t = np.tanh(c * (x + a * x**3))
+    value = 0.5 * x * (1.0 + t)
+    slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x**2)
+    # the cube moves by up to one ulp and can move tanh by one rounding; near
+    # tanh = -1 (where 1 + t cancels) and at the slope's root (x ~ -0.75) that
+    # rounding, times the formula's sensitivity to t, exceeds the relative bound
+    rounding = 2.0 * np.finfo(float).eps
+    for got, want, sensitivity in (
+        (an._activation("gelu", x), value, 0.5 * np.abs(x)),
+        (an._activation_deriv("gelu", x), slope, 0.5 + np.abs(x) * c * (1.0 + 3.0 * a * x * x)),
+    ):
+        bound = 1e-14 * np.abs(want) + 1e-300 + rounding * sensitivity
+        assert np.all(np.abs(got - want) <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,21 @@ def test_grad_total_matches_finite_differences(objective, rng):
     assert _worst_fd_gap(net, grads, total, rng) <= 1e-4
 
 
+@pytest.mark.parametrize("gradient_mode", ["adjoint", "parameter_shift"])
+def test_grad_total_runs_the_network_layers_once(gradient_mode, rng, monkeypatch):
+    ctx, program, net, feats = _toy_pipeline(rng)
+    run_layers = an._forward_cached
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return run_layers(*args, **kwargs)
+
+    monkeypatch.setattr(an, "_forward_cached", counting)
+    ls.grad_total(ctx, program, net, feats, gradient_mode=gradient_mode)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("objective", ["unnormalized", "normalized", "vqls"])
 def test_joint_grad_total_matches_per_instance_finite_differences(objective, rng):
     ctx = joint_context(rng)

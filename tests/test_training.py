@@ -446,6 +446,21 @@ def test_joint_truth_solves_share_the_basis_tables(monkeypatch):
     assert len(calls) == system.direction_count
 
 
+def test_fixed_operator_conditioning_checked_once_per_system(monkeypatch):
+    system = helm_system()
+    condition = np.linalg.cond
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(None)
+        return condition(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    dataset = tr.generate_dataset(tr.DatasetSpec("trig_1d", 20, 50, seed=11), system)
+    assert len(dataset.test.truth) == 50
+    assert len(calls) == 1
+
+
 def test_run_record_roundtrip(tmp_path):
     config = tr.TrainConfig(objective="normalized", epochs=60, learning_rate=0.01, eval_every=20)
     record = tr.train(config, toy_data(), toy_program(), toy_net())
