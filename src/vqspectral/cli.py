@@ -329,9 +329,10 @@ def _prepare_state_angles(
     theta = rng.uniform(0.0, 2.0 * np.pi, program.n_slots)
     params = [theta]
     adam = training.AdamState.for_params(params)
+    tape = qsim.Tape()
     for _ in range(iters):
-        psi = qsim.run_batch(program, theta[None, :])
-        grad = qsim.adjoint_gradient(program, theta[None, :], psi, psi - target)[0]
+        psi = qsim.run_batch(program, theta[None, :], tape)
+        grad = qsim.adjoint_gradient(program, theta[None, :], psi - target, tape)[0]
         training.adam_step(adam, params, [grad], lr=lr)
     return theta
 

@@ -256,6 +256,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"[benchmark] n_modes {cfg.n_modes} over {cfg.direction_count} direction(s) "
             f"exceeds {MAX_SYSTEM_SIZE} unknowns"
         )
+    if cfg.n_modes**cfg.direction_count < 4:  # both ansaetze entangle at least two qubits
+        raise ConfigurationError(
+            f"[benchmark] n_modes {cfg.n_modes} over {cfg.direction_count} direction(s) "
+            "gives one qubit; the ansatz needs at least 2"
+        )
+    if cfg.pde in ("cd1d", "cd2d") and cfg.boundary != "dirichlet":
+        raise ConfigurationError(
+            f"[benchmark] boundary must be dirichlet for pde {cfg.pde}, got {cfg.boundary}"
+        )
     # trig_1d samples a line, trig_2d and wave_family a plane; joint_k draws joint_helm's k
     wanted = {"trig_1d": 1, "trig_2d": 2, "wave_family": 2}.get(cfg.family, cfg.direction_count)
     if wanted != cfg.direction_count or cfg.family == "joint_k" and cfg.pde != "joint_helm":

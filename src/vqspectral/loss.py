@@ -277,21 +277,21 @@ def grad_total(
     """Mean-over-batch network-parameter gradients of the chosen objective.
 
     The chain runs features -> angles (network) -> state (circuit) -> loss,
-    each stage once on the whole batch, and the network's backward pass
-    differentiates the tape its forward pass recorded; batch_features is shaped
-    (D, *input_shape). "adjoint" differentiates the statevector exactly in
-    reverse from the forward states; the "parameter_shift" mode reproduces the
+    each stage once on the whole batch, and each backward pass walks the tape
+    its forward pass recorded; batch_features is shaped (D, *input_shape).
+    "adjoint" differentiates the statevector exactly in reverse from the
+    circuit's tape; the "parameter_shift" mode reproduces the
     same d(loss)/d(angle) through qsim.parameter_shift, measuring the overlap
     <F|A psi> as its linear part and beta as its quadratic part. Returns
     (grads, LossValue) with grads shaped like the network parameters.
     """
     d = ctx.n_instances
     features = np.asarray(batch_features, dtype=float)
-    tape = anglenet.Tape()
-    angles = anglenet.forward(net, features, tape=tape)
+    net_tape, circuit_tape = anglenet.Tape(), qsim.Tape()
+    angles = anglenet.forward(net, features, tape=net_tape)
     if angles.shape != (d, program.n_slots):
         raise ContractViolation(f"angles shaped {angles.shape}, expected ({d}, {program.n_slots})")
-    states = qsim.run_batch(program, angles)
+    states = qsim.run_batch(program, angles, circuit_tape)
     applied = _apply(ctx, states)
     overlap, beta = _overlap_beta(ctx, applied)
     per, u, v = _objective(objective, overlap, _guard_beta(beta))
@@ -299,7 +299,7 @@ def grad_total(
 
     if gradient_mode == "adjoint":
         cot = _apply(ctx, u[:, None] * ctx.target_states + v[:, None] * applied, adjoint=True)
-        dtheta = qsim.adjoint_gradient(program, angles, states, cot)
+        dtheta = qsim.adjoint_gradient(program, angles, cot, circuit_tape)
     elif gradient_mode == "parameter_shift":
         dz, db = qsim.parameter_shift(
             program, angles, lambda shifted: _overlap_beta(ctx, _apply(ctx, shifted))
@@ -308,7 +308,7 @@ def grad_total(
     else:
         raise ConfigurationError(f"unknown gradient mode {gradient_mode!r}")
 
-    grads, _ = anglenet.backward(net, features, dtheta / d, tape=tape)  # the batch mean's cotangent
+    grads, _ = anglenet.backward(net, features, dtheta / d, tape=net_tape)  # the mean's cotangent
     return grads, value
 
 

@@ -9,14 +9,16 @@ whole training batch advances through the same program in lockstep.
 A program is compiled once, on first use, into a short list of fused steps
 (GateProgram.compiled) of two kinds: each run of CNOTs is one basis-index
 gather, and a local step turns every qubit by one 2x2 unitary, the hadamards
-that reached it since its last step followed by at most one rotation. The
-forward run walks the list, and the adjoint sweep walks it back, undoing each
-local step by the conjugate transpose of its forward factors.
+that reached it since its last step followed by at most one rotation. A
+program of h, ry and cnot alone has real amplitudes, so it runs in float64.
+The forward run walks the list and can record a Tape, which the adjoint sweep
+walks back on the cotangent alone, undoing each local step by the conjugate
+transpose of its taped factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -28,6 +30,7 @@ from .pauli import MeasurementGrouping, PauliExpansion
 __all__ = [
     "Gate",
     "GateProgram",
+    "Tape",
     "build_strongly_entangling",
     "build_hardware_efficient_ry",
     "build_ry_embedding",
@@ -147,13 +150,13 @@ def build_ry_embedding(angles: np.ndarray) -> np.ndarray:
 # State evolution
 
 
-def zero_state(n: int, batch: int | None = None) -> np.ndarray:
+def zero_state(n: int, batch: int | None = None, dtype=complex) -> np.ndarray:
     dim = 1 << n
     if batch is None:
-        state = np.zeros(dim, dtype=complex)
+        state = np.zeros(dim, dtype=dtype)
         state[0] = 1.0
     else:
-        state = np.zeros((batch, dim), dtype=complex)
+        state = np.zeros((batch, dim), dtype=dtype)
         state[:, 0] = 1.0
     return state
 
@@ -220,9 +223,8 @@ class _Local:
 
     undo = apply
 
-    def gradient(self, stacked: np.ndarray) -> np.ndarray:
-        """Re(lambda^dag G_q phi) = d L / d theta for every qubit's slot, stacked (B, 2, 2^n)."""
-        phi, lam = stacked[:, 0], stacked[:, 1]
+    def gradient(self, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Re(lambda^dag G_q phi) = d L / d theta per qubit's slot, with the step applied."""
         return np.einsum("bki,ki,bi->bk", phi[:, self.index], self.phase, lam.conj()).real
 
 
@@ -236,7 +238,7 @@ class _Compiled:
     steps: tuple
     slot_of_qubit: np.ndarray  # (R, n)
     fixed_t: np.ndarray  # (R, n, 2, 2): each C transposed
-    turned_t: np.ndarray  # (R, n, 2, 2): each G C transposed
+    turned_t: np.ndarray  # (R, n, 2, 2): each G C transposed; float64 like fixed_t when real
 
     def turns(self, angles: np.ndarray) -> np.ndarray:
         """Every local step's U^T for a batch of angles, shaped (B, R, n, 2, 2)."""
@@ -294,6 +296,9 @@ def _compile(program: GateProgram) -> _Compiled:
     phase = np.take_along_axis(  # G[b, b ^ flip] for the qubit's bit b of each basis index
         generators.reshape(len(rows), n, 4), 2 * bits + (bits ^ flips), axis=-1
     )
+    tables = (fixed_t, fixed_t @ generators.swapaxes(-1, -2), phase)
+    real = not any(np.any(table.imag) for table in tables)  # no rz: real amplitudes throughout
+    fixed_t, turned_t, phase = (table.real.copy() if real else table for table in tables)
     steps, row = [], 0
     for kind, gates in runs:
         if kind == "cnot":
@@ -301,7 +306,7 @@ def _compile(program: GateProgram) -> _Compiled:
         else:
             steps.append(_Local(row, slot_of_qubit[row], index[row], phase[row]))
             row += 1
-    return _Compiled(tuple(steps), slot_of_qubit, fixed_t, fixed_t @ generators.swapaxes(-1, -2))
+    return _Compiled(tuple(steps), slot_of_qubit, fixed_t, turned_t)
 
 
 def _build_gather(gates: list[Gate], n: int) -> _Gather:
@@ -314,8 +319,18 @@ def _build_gather(gates: list[Gate], n: int) -> _Gather:
     return _Gather(perm, np.argsort(perm))
 
 
-def run_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
-    """Run the program for a batch of angle vectors; returns (B, 2^n)."""
+@dataclass
+class Tape:
+    """What run_batch leaves for adjoint_gradient: the _kron factors of every
+    local step, and the state right after each, in the program's table dtype."""
+
+    factors: tuple = ()
+    states: list = field(default_factory=list)
+
+
+def run_batch(program: GateProgram, angles: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+    """Run the program for a batch of angle vectors; returns (B, 2^n) complex128.
+    A given tape records the run for adjoint_gradient on the same angles."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != program.n_slots:
         raise ContractViolation(
@@ -323,10 +338,14 @@ def run_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
         )
     compiled = program.compiled
     factors = _kron(compiled.turns(angles))
-    state = zero_state(program.n_qubits, batch=angles.shape[0])
+    state = zero_state(program.n_qubits, angles.shape[0], compiled.fixed_t.dtype)
+    if tape is not None:
+        tape.factors, tape.states = factors, []
     for step in compiled.steps:
         state = step.apply(state, factors)
-    return state
+        if tape is not None and isinstance(step, _Local):
+            tape.states.append(state)
+    return state.astype(complex, copy=False)
 
 
 def run(program: GateProgram, angles: np.ndarray) -> np.ndarray:
@@ -367,36 +386,37 @@ def parameter_shift(program: GateProgram, angles: np.ndarray, measure):
 
 
 def adjoint_gradient(
-    program: GateProgram, angles: np.ndarray, states: np.ndarray, cotangents: np.ndarray
+    program: GateProgram, angles: np.ndarray, cotangents: np.ndarray, tape: Tape | None = None
 ) -> np.ndarray:
     """Exact reverse-mode d L / d theta for a batch (Jones & Gacon, arXiv:2009.02823).
 
-    states are the forward outputs run_batch(program, angles), which the
-    caller already holds; cotangents hold dL/d(conj psi) per batch row, i.e.
-    dL = 2 Re(lambda^dag d psi). Walks the compiled steps backwards, undoing
-    each on the state and the cotangent stacked as one (B, 2, 2^n) array: a
-    gather by its inverse permutation, a local step by the conjugate
-    transpose of its forward factors. A rotation R = exp(theta G / 2)
-    contributes Re(lambda^dag G psi) evaluated with its local step still
-    applied; the turns of one step act on distinct qubits and commute, so
-    every slot of the step reads the same pair.
+    cotangents hold dL/d(conj psi) per row, i.e. dL = 2 Re(lambda^dag d psi), for
+    psi = run_batch(program, angles, tape); without a tape this records one.
+    Walks the compiled steps backwards on the cotangent alone, undoing a gather
+    by its inverse permutation and a local step by the conjugate transposes of
+    its taped factors. A rotation R = exp(theta G / 2) contributes
+    Re(lambda^dag G psi), psi the taped state with its local step applied; the
+    turns of one step act on distinct qubits and commute, so every slot of the
+    step reads the same pair. On a real program only Re(lambda) is walked.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != program.n_slots:
         raise ContractViolation("angles must be shaped (batch, n_slots)")
-    phi = np.asarray(states, dtype=complex)
     lam = np.asarray(cotangents, dtype=complex)
-    if not phi.shape == lam.shape == (angles.shape[0], 1 << program.n_qubits):
-        raise ContractViolation("states and cotangents must be shaped (batch, 2^n)")
+    if lam.shape != (angles.shape[0], 1 << program.n_qubits):
+        raise ContractViolation("cotangents must be shaped (batch, 2^n)")
+    if tape is None:
+        tape = Tape()
+        run_batch(program, angles, tape)
     compiled = program.compiled
-    # the conjugate transposes of the forward factors, as views of kron(conj U^T)
-    factors = tuple(f.swapaxes(-1, -2) for f in _kron(compiled.turns(angles).conj()))
-    stacked = np.stack((phi, lam), axis=1)
+    lam = lam if compiled.fixed_t.dtype == complex else lam.real
+    factors = tuple(f.conj().swapaxes(-1, -2) for f in tape.factors)
+    states = reversed(tape.states)
     grads = np.zeros((len(angles), program.n_slots + 1))  # slot -1 takes unrotated qubits
     for step in reversed(compiled.steps):
         if isinstance(step, _Local):
-            grads[:, step.slots] = step.gradient(stacked)
-        stacked = step.undo(stacked, factors)
+            grads[:, step.slots] = step.gradient(next(states), lam)
+        lam = step.undo(lam, factors)
     return grads[:, :-1]
 
 

@@ -56,11 +56,13 @@ def shift_gradient(program: qsim.GateProgram, angles, observable) -> np.ndarray:
     return qsim.parameter_shift(program, angles, measure)[1]
 
 
-def random_program(n: int, rng: np.random.Generator, max_gates: int = 14) -> qsim.GateProgram:
+def random_program(
+    n: int, rng: np.random.Generator, max_gates: int = 14, kinds=("ry", "rz", "h", "cnot")
+) -> qsim.GateProgram:
     gates = []
     slot = 0
     for _ in range(int(rng.integers(4, max_gates))):
-        kind = rng.choice(["ry", "rz", "h", "cnot"])
+        kind = rng.choice(list(kinds))
         target = int(rng.integers(0, n))
         if kind == "cnot":
             if n < 2:

@@ -99,11 +99,13 @@ def _valid_configs(draw):
     """Any config _validate accepts: every field drawn, within its checked range."""
     k_min, k_max = sorted(draw(st.tuples(_REALS, _REALS)))
     pde, dimensions = draw(st.sampled_from(BENCHMARK_PDES)), draw(st.integers(1, 2))
-    families = ["shallow_ry", *FAMILIES_BY_DIRECTIONS[_directions(pde, dimensions)]]
+    dirs = _directions(pde, dimensions)
+    families = ["shallow_ry", *FAMILIES_BY_DIRECTIONS[dirs]]
     values = dict(
         pde=st.just(pde),
-        boundary=st.sampled_from(["dirichlet", "neumann"]),
-        n_modes=st.integers(1, 10 // _directions(pde, dimensions)).map(lambda e: 1 << e),
+        boundary=st.sampled_from(["dirichlet"] + ["neumann"] * (pde not in ("cd1d", "cd2d"))),
+        # at least two qubits, at most 1024 unknowns
+        n_modes=st.integers(2 // dirs, 10 // dirs).map(lambda e: 1 << e),
         dimensions=st.just(dimensions),
         epsilon=_REALS,
         k_squared=_REALS,
@@ -338,6 +340,27 @@ def test_system_size_guard_admits_the_limit():
     assert parse_config_text("[benchmark]\nn_modes = 1024\n").n_modes == 1024
     text = "[benchmark]\npde = rd2d\nn_modes = 32\n\n[dataset]\nfamily = trig_2d\n"
     assert build_system(parse_config_text(text)).size == cli.MAX_SYSTEM_SIZE
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+@pytest.mark.parametrize("ansatz", ["hardware_efficient_ry", "strongly_entangling"])
+def test_one_qubit_system_exits_two(tmp_path, capsys, ansatz, dry_run):
+    # n_modes = 2 on a one-direction pde passed the dry run; the run then exited 2
+    # with "hardware-efficient ansatz needs n >= 2", naming no key
+    text = MINI_RUN_CFG.replace("n_modes = 8", "n_modes = 2")
+    text = text.replace("ansatz = hardware_efficient_ry", f"ansatz = {ansatz}")
+    _exits_two_naming(tmp_path, capsys, text, "[benchmark] n_modes", dry_run=dry_run)
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+@pytest.mark.parametrize("pde, family", [("cd1d", "trig_1d"), ("cd2d", "trig_2d")])
+def test_cd_family_needs_dirichlet_exits_two(tmp_path, capsys, pde, family, dry_run):
+    # boundary = neumann on cd passed the dry run; the run then exited 2 at assembly
+    # with "cd2d supports only Dirichlet conditions", naming no key
+    text = MINI_RUN_CFG.replace("pde = helm1d", f"pde = {pde}")
+    text = text.replace("boundary = dirichlet", "boundary = neumann")
+    text = text.replace("family = trig_1d", f"family = {family}")
+    _exits_two_naming(tmp_path, capsys, text, "[benchmark] boundary", dry_run=dry_run)
 
 
 FLOAT_KEYS = [

@@ -389,6 +389,29 @@ def test_grad_total_runs_the_network_layers_once(gradient_mode, rng, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "program",
+    [qsim.build_strongly_entangling(3, 2), qsim.build_hardware_efficient_ry(3, 6)],  # 18 slots each
+    ids=["strongly_entangling", "hardware_efficient_ry"],
+)
+def test_grad_total_runs_the_circuit_once(program, rng, monkeypatch):
+    # the adjoint walks the forward's tape; simulating again would run and turn twice
+    ctx, _, net, feats = _toy_pipeline(rng)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(qsim, "run_batch", counting(qsim.run_batch))
+    monkeypatch.setattr(qsim._Compiled, "turns", counting(qsim._Compiled.turns))
+    ls.grad_total(ctx, program, net, feats)
+    assert sorted(calls) == ["run_batch", "turns"]
+
+
 @pytest.mark.parametrize("objective", ["unnormalized", "normalized", "vqls"])
 def test_joint_grad_total_matches_per_instance_finite_differences(objective, rng):
     ctx = joint_context(rng)

@@ -140,7 +140,7 @@ def test_program_compiles_once(monkeypatch, rng):
     first = qsim.run_batch(program, angles)
     steps = program.compiled.steps
     second = qsim.run_batch(program, angles)
-    qsim.adjoint_gradient(program, angles, first, first)
+    qsim.adjoint_gradient(program, angles, first)
     assert compiled == [program] and program.compiled.steps is steps
     assert np.array_equal(first, second)
 
@@ -204,7 +204,7 @@ def test_scheduling_cases_match_references(name, rng):
     matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     observable = pl.decompose(matrix + matrix.conj().T)
     cotangents = states @ observable.to_matrix().T
-    adj = qsim.adjoint_gradient(program, angles, states, cotangents)
+    adj = qsim.adjoint_gradient(program, angles, cotangents)
     for grad, shift in zip(adj, shift_gradient(program, angles, observable)):
         assert np.abs(grad - shift).max() <= 1e-13 * max(1.0, np.abs(shift).max())
 
@@ -294,7 +294,7 @@ def test_adjoint_gradient_matches_shift(rng):
     angles = rng.uniform(0, 2 * np.pi, (2, program.n_slots))
     states = qsim.run_batch(program, angles)
     cotangents = np.stack([dense @ states[i] for i in range(2)])  # dE/d(conj psi)
-    adj = qsim.adjoint_gradient(program, angles, states, cotangents)
+    adj = qsim.adjoint_gradient(program, angles, cotangents)
     for grad, shift in zip(adj, shift_gradient(program, angles, observable)):
         assert np.abs(grad - shift).max() <= 1e-8 * max(1.0, np.abs(shift).max())
 
@@ -304,9 +304,80 @@ def test_adjoint_gradient_rejects_mismatched_states(rng):
     angles = rng.uniform(0, 2 * np.pi, (2, program.n_slots))
     states = qsim.run_batch(program, angles)
     with pytest.raises(ContractViolation):
-        qsim.adjoint_gradient(program, angles, states[:1], states)
+        qsim.adjoint_gradient(program, angles, states[:1])
     with pytest.raises(ContractViolation):
-        qsim.adjoint_gradient(program, angles, states, states[:, :2])
+        qsim.adjoint_gradient(program, angles, states[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# Real programs and the tape
+
+
+def _real_programs(rng, count=30):
+    """HE-RY at n = 2..5, then random programs of h, ry and cnot alone."""
+    programs = [qsim.build_hardware_efficient_ry(n, 3) for n in range(2, 6)]
+    while len(programs) < count:
+        program = random_program(int(rng.integers(1, 5)), rng, kinds=("ry", "h", "cnot"))
+        if program.n_slots:
+            programs.append(program)
+    return programs
+
+
+def _assert_adjoint_matches_shift(program, angles, rng):
+    """Adjoint against shift gradients of a random complex Hermitian observable."""
+    dim = 1 << program.n_qubits
+    matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    observable = pl.decompose(matrix + matrix.conj().T)
+    states = qsim.run_batch(program, angles)
+    cotangents = states @ observable.to_matrix().T  # complex, as the vqls objective's are
+    assert np.abs(cotangents.imag).max() > 0
+    adj = qsim.adjoint_gradient(program, angles, cotangents)
+    for grad, shift in zip(adj, shift_gradient(program, angles, observable)):
+        assert np.abs(grad - shift).max() <= 1e-13 * max(1.0, np.abs(shift).max())
+
+
+def test_real_programs_run_in_float64_and_match_the_oracle(rng):
+    for program in _real_programs(rng):
+        compiled = program.compiled
+        assert compiled.fixed_t.dtype == compiled.turned_t.dtype == np.float64
+        angles = rng.uniform(0, 2 * np.pi, (3, program.n_slots))
+        tape = qsim.Tape()
+        states = qsim.run_batch(program, angles, tape)
+        assert states.dtype == np.complex128
+        assert all(state.dtype == np.float64 for state in tape.states)
+        for row, state in zip(angles, states):
+            dense = program_unitary(program, row) @ qsim.zero_state(program.n_qubits)
+            assert np.abs(state - dense).max() <= 1e-13
+
+
+def test_real_program_gradients_match_shift_with_complex_cotangents(rng):
+    for program in _real_programs(rng):
+        _assert_adjoint_matches_shift(program, rng.uniform(0, 2 * np.pi, (3, program.n_slots)), rng)
+
+
+def test_one_rz_compiles_complex(rng):
+    base = qsim.build_hardware_efficient_ry(3, 2)
+    program = qsim.GateProgram(
+        3, base.gates + (qsim.Gate("rz", 1, slot=base.n_slots),), base.n_slots + 1
+    )
+    assert base.compiled.fixed_t.dtype == np.float64
+    assert program.compiled.fixed_t.dtype == program.compiled.turned_t.dtype == np.complex128
+    angles = rng.uniform(0, 2 * np.pi, (3, program.n_slots))
+    for row, state in zip(angles, qsim.run_batch(program, angles)):
+        dense = program_unitary(program, row) @ qsim.zero_state(program.n_qubits)
+        assert np.abs(state - dense).max() <= 1e-13
+    _assert_adjoint_matches_shift(program, angles, rng)
+
+
+@pytest.mark.parametrize("build", [qsim.build_hardware_efficient_ry, qsim.build_strongly_entangling])
+def test_taped_and_untaped_adjoint_agree_bitwise(build, rng):
+    program = build(4, 3)
+    angles = rng.uniform(0, 2 * np.pi, (5, program.n_slots))
+    tape = qsim.Tape()
+    states = qsim.run_batch(program, angles, tape)
+    cotangents = rng.standard_normal(states.shape) + 1j * rng.standard_normal(states.shape)
+    taped = qsim.adjoint_gradient(program, angles, cotangents, tape)
+    assert np.array_equal(taped, qsim.adjoint_gradient(program, angles, cotangents))
 
 
 _random_programs = st.tuples(
@@ -340,7 +411,7 @@ def test_adjoint_gradient_matches_shift_property(case):
     observable = pl.decompose(matrix + matrix.conj().T)
     states = qsim.run_batch(program, angles)
     cotangents = states @ observable.to_matrix().T  # dE/d(conj psi) = O psi per row
-    adj = qsim.adjoint_gradient(program, angles, states, cotangents)
+    adj = qsim.adjoint_gradient(program, angles, cotangents)
     for grad, shift in zip(adj, shift_gradient(program, angles, observable)):
         gap = np.abs(grad - shift).max(initial=0.0)  # programs may hold no rotation
         assert gap <= 1e-8 * max(1.0, np.abs(shift).max(initial=0.0))
