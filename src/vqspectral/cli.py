@@ -122,9 +122,7 @@ def _train_config(cfg: ExperimentConfig) -> training.TrainConfig:
 
 def _feature_input_shape(cfg: ExperimentConfig, split: training.Split):
     natural = np.asarray(split.features[0])
-    if cfg.conv_channels:
-        if natural.ndim != 2:
-            raise ConfigurationError("[network] conv_channels requires grid-shaped features")
+    if cfg.conv_channels:  # config._validate admits them only with grid features
         return (1,) + natural.shape
     extra = 1 if split.k_values is not None else 0
     return (int(np.prod(natural.shape)) + extra,)

@@ -290,12 +290,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         widths = getattr(cfg, key)
         if any(width < 1 for width in widths):
             raise ConfigurationError(f"[network] {key} widths must be >= 1, got {_fmt(widths)}")
+    if cfg.conv_channels and cfg.family not in ("trig_2d", "wave_family"):  # grid features
+        raise ConfigurationError(f"[network] conv_channels needs a grid family, got {cfg.family}")
     if not cfg.k_min <= cfg.k_max:
         raise ConfigurationError(f"[dataset] k_min {cfg.k_min} exceeds k_max {cfg.k_max}")
     if cfg.k_is_squared and not cfg.k_min >= 0:
         raise ConfigurationError(
             f"[dataset] k_min must be >= 0 when k_is_squared = true, got {cfg.k_min}"
         )
+    for key, k in (("k_min", cfg.k_min), ("k_max", cfg.k_max)):  # B + k^2 C needs a finite k^2
+        if not math.isfinite(k if cfg.k_is_squared else k * k):
+            raise ConfigurationError(f"[dataset] {key} must keep k^2 finite, got {k}")
 
 
 def _valid_modes(value: int) -> bool:

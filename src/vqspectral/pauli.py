@@ -42,10 +42,6 @@ _BLOCK = 1 << 16
 _DROP_TOL = 1e-14  # coefficients at or below this magnitude are dropped
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values).astype(np.int64)
-
-
 def _column_entries(x, z, cols: np.ndarray) -> np.ndarray:
     """P(x, z)[c ^ x, c] = i^{|x & z|} (-1)^{z . c} per column c; masks broadcast."""
     signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
@@ -219,7 +215,7 @@ def decompose(matrix: np.ndarray, source_tag: str = "") -> PauliExpansion:
     for axis in range(n, 0, -1):  # least significant bit of c first
         low, high = sums.take(0, axis), sums.take(1, axis)
         sums = np.stack((low + high, low - high), axis=axis)
-    coefs = _I_POWER_ARRAY[_popcount(masks & cols) % 4] * sums.reshape(dim, dim) / dim
+    coefs = _I_POWER_ARRAY[np.bitwise_count(masks & cols) & 3] * sums.reshape(dim, dim) / dim
     return _from_dense(coefs, source_tag)
 
 
@@ -239,20 +235,23 @@ def adjoint_product(
     n = left.n_qubits
     lx, lz = _masks(left)
     rx, rz = _masks(right)
+    lcode, rcode = (lx << n) | lz, (rx << n) | rz  # the XOR of two codes is their product's
+    # popcounts stay uint8: exponents matter mod 4, and uint8 sums wrap mod 256
+    lxz, rxz = np.bitwise_count(lx & lz), np.bitwise_count(rx & rz)
     lc, rc = np.conj(left.coefficients), right.coefficients
-    acc = np.zeros(1 << (2 * n), dtype=complex)  # coefficient of P(x, z) at (x << n) | z
+    acc = np.zeros(1 << (2 * n), dtype=complex)  # coefficient of P(x, z) at code (x << n) | z
     for rows in _row_blocks(len(lx), len(rx)):
-        x, z = lx[rows, None], lz[rows, None]
-        x3, z3 = x ^ rx, z ^ rz
-        exp = _popcount(x & z) + _popcount(rx & rz) - _popcount(x3 & z3) + 2 * _popcount(z & rx)
+        code = lcode[rows, None] ^ rcode
+        exp = lxz[rows, None] + rxz - np.bitwise_count((code >> n) & code)
+        exp += 2 * np.bitwise_count(lz[rows, None] & rx)
         # conj(c_l) c_r in real arithmetic, rounded as a scalar complex product
         # is; numpy's vectorized complex multiply may fuse and round otherwise
         a, b = lc[rows, None], rc
-        values = np.empty(x3.shape, dtype=complex)
+        values = np.empty(code.shape, dtype=complex)
         values.real = a.real * b.real - a.imag * b.imag
         values.imag = a.real * b.imag + a.imag * b.real
-        values *= _I_POWER_ARRAY[exp % 4]
-        np.add.at(acc, ((x3 << n) | z3).ravel(), values.ravel())
+        values *= _I_POWER_ARRAY[exp & 3]
+        np.add.at(acc, code.ravel(), values.ravel())
     return _from_dense(acc.reshape(1 << n, 1 << n), source_tag)
 
 
@@ -292,37 +291,34 @@ class MeasurementGrouping:
 
 
 def group_commuting(expansion: PauliExpansion) -> MeasurementGrouping:
-    """Greedy first-fit grouping over terms sorted by descending |coefficient|.
+    """Greedy first-fit grouping over terms by descending |coefficient|, ties in term order.
 
-    Each open group keeps its basis as x/z masks; a term joins the first group
-    it commutes with qubit-wise (the rule of PauliString.commutes_qubit_wise).
+    Each open group keeps its basis as a letter code (x << n) | z and its support on both
+    halves of the code. A term joins the first group whose letters agree with its own wherever
+    both act (PauliString.commutes_qubit_wise), else the empty slot after the open groups.
     """
-    order = sorted(
-        range(len(expansion.terms)),
-        key=lambda i: (-abs(expansion.terms[i][1]), i),
-    )
-    xs, zs = (m.tolist() for m in _masks(expansion))
-    gx, gz = np.zeros((2, len(order)), dtype=np.int64)  # basis masks of the open groups
+    n = expansion.n_qubits
+    xs, zs = _masks(expansion)
+    coefs = expansion.coefficients
+    # hypot rounds |c| as Python's abs does; np.abs differs in the last bit on some c
+    order = np.argsort(-np.hypot(coefs.real, coefs.imag), kind="stable").tolist()
+    codes, supports = (xs << n) | zs, (xs | zs) * ((1 << n) + 1)
+    basis, support = np.zeros((2, len(order) + 1), dtype=np.int64)
     groups: list[list[int]] = []
     for idx in order:
-        x, z = xs[idx], zs[idx]
-        sup = x | z
-        bx, bz = gx[: len(groups)], gz[: len(groups)]
-        hits = np.flatnonzero(((bx | bz) & sup & ((bx ^ x) | (bz ^ z))) == 0)
-        g = int(hits[0]) if hits.size else len(groups)
+        code, sup = int(codes[idx]), int(supports[idx])  # per term: no list of int objects
+        slots = len(groups) + 1
+        g = int(((basis[:slots] & sup) == (support[:slots] & code)).argmax())
         if g == len(groups):
             groups.append([])
         groups[g].append(idx)
-        gx[g] = (gx[g] & ~sup) | x
-        gz[g] = (gz[g] & ~sup) | z
-    n = expansion.n_qubits
-    rotations = tuple(
-        PauliString(n, x, z).text.replace("I", "Z")
-        for x, z in zip(gx[: len(groups)].tolist(), gz[: len(groups)].tolist())
-    )
+        basis[g] = (int(basis[g]) & ~sup) | code
+        support[g] = int(support[g]) | sup
+    bits = (basis[: len(groups), None] >> np.arange(2 * n - 1, -1, -1)) & 1  # x bits, z bits
+    letters = np.array(list("ZZXY"))[2 * bits[:, :n] + bits[:, n:]]  # identity reads as Z
     return MeasurementGrouping(
         groups=tuple(tuple(g) for g in groups),
-        basis_rotations=rotations,
+        basis_rotations=tuple(letters.view(f"<U{n}").ravel().tolist()),
     )
 
 

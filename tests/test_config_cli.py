@@ -73,6 +73,7 @@ def test_canonicalization_idempotent():
 
 
 _REALS = st.floats(allow_nan=False, allow_infinity=False)
+_K_VALUES = st.floats(-1e154, 1e154)  # k^2 stays finite
 _UNIT = st.floats(0.0, 1.0, exclude_max=True)
 _POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
 _COUNTS = st.integers(1, 10_000)
@@ -97,10 +98,12 @@ def _directions(pde, dimensions):
 @st.composite
 def _valid_configs(draw):
     """Any config _validate accepts: every field drawn, within its checked range."""
-    k_min, k_max = sorted(draw(st.tuples(_REALS, _REALS)))
+    k_min, k_max = sorted(draw(st.tuples(_K_VALUES, _K_VALUES)))
     pde, dimensions = draw(st.sampled_from(BENCHMARK_PDES)), draw(st.integers(1, 2))
     dirs = _directions(pde, dimensions)
     families = ["shallow_ry", *FAMILIES_BY_DIRECTIONS[dirs]]
+    family = draw(st.sampled_from(families + ["joint_k"] * (pde == "joint_helm")))
+    grid = family in FAMILIES_BY_DIRECTIONS[2]  # a conv network needs grid features
     values = dict(
         pde=st.just(pde),
         boundary=st.sampled_from(["dirichlet"] + ["neumann"] * (pde not in ("cd1d", "cd2d"))),
@@ -115,9 +118,9 @@ def _valid_configs(draw):
         layers=_COUNTS,
         hidden=_tuples(_COUNTS),
         activation=st.sampled_from(["relu", "gelu", "identity"]),
-        conv_channels=_tuples(_COUNTS),
+        conv_channels=_tuples(_COUNTS) if grid else st.just(()),
         conv_kernel=_COUNTS.map(lambda k: 2 * k - 1),
-        family=st.sampled_from(families + ["joint_k"] * (pde == "joint_helm")),
+        family=st.just(family),
         train_size=_COUNTS,
         test_size=st.integers(0, 10_000),
         data_seed=st.integers(0, 2**63),  # numpy seeds are non-negative
@@ -361,6 +364,59 @@ def test_cd_family_needs_dirichlet_exits_two(tmp_path, capsys, pde, family, dry_
     text = text.replace("boundary = dirichlet", "boundary = neumann")
     text = text.replace("family = trig_1d", f"family = {family}")
     _exits_two_naming(tmp_path, capsys, text, "[benchmark] boundary", dry_run=dry_run)
+
+
+def _tiny_cfg(pde, family, dimensions=1, network="", dataset=""):
+    return (
+        f"[benchmark]\npde = {pde}\nn_modes = 4\ndimensions = {dimensions}\n\n"
+        f"[circuit]\nlayers = 1\n\n[network]\nhidden = 4\n{network}\n"
+        f"[dataset]\nfamily = {family}\ntrain_size = 2\ntest_size = 2\n{dataset}\n"
+        "[train]\nepochs = 1\neval_every = 1\n"
+    )
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+@pytest.mark.parametrize(
+    "pde, family, dimensions",
+    [("helm1d", "trig_1d", 1), ("rd2d", "shallow_ry", 1), ("joint_helm", "joint_k", 2)],
+)
+def test_conv_channels_need_grid_features_exit_two(
+    tmp_path, capsys, pde, family, dimensions, dry_run
+):
+    # each passed the dry run; the run then failed on the feature shape, and
+    # joint_k exited with "joint coefficients require a flat feature vector"
+    text = _tiny_cfg(pde, family, dimensions, network="conv_channels = 2\n")
+    _exits_two_naming(tmp_path, capsys, text, "[network] conv_channels", dry_run=dry_run)
+
+
+@pytest.mark.parametrize("pde, family", [("rd2d", "trig_2d"), ("wave1d", "wave_family")])
+def test_conv_channels_admit_grid_families(tmp_path, pde, family):
+    text = _tiny_cfg(pde, family, network="conv_channels = 2\n")
+    argv = ["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o"), "--dry-run"]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+@pytest.mark.parametrize(
+    "k_lines, name",
+    [
+        ("k_min = 1e16\nk_max = 1e200", "[dataset] k_max"),
+        ("k_min = -1e200\nk_max = 1.0", "[dataset] k_min"),
+    ],
+    ids=["k_max", "k_min"],
+)
+def test_k_whose_square_overflows_exits_two(tmp_path, capsys, k_lines, name, dry_run):
+    # k_max = 1e200 passed the dry run; the run then raised a LinAlgError
+    # traceback ("SVD did not converge") because k^2 was inf in B + k^2 C
+    text = _tiny_cfg("joint_helm", "joint_k", dataset=k_lines + "\n")
+    _exits_two_naming(tmp_path, capsys, text, name, dry_run=dry_run)
+
+
+def test_k_range_admits_a_large_squared_k(tmp_path):
+    k_lines = "k_min = 0.0\nk_max = 1e200\nk_is_squared = true\n"  # k^2 itself is drawn
+    text = _tiny_cfg("joint_helm", "joint_k", dataset=k_lines)
+    argv = ["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o"), "--dry-run"]
+    assert cli.main(argv) == 0
 
 
 FLOAT_KEYS = [

@@ -437,3 +437,44 @@ def test_adjoint_product_blocks_split_rows(monkeypatch, rng):
         monkeypatch.setattr(pl, "_BLOCK", block)
         assert_same_expansion(pl.adjoint_product(left, right), want)
         assert np.array_equal(want.to_matrix(), _loop_to_matrix(want))
+
+
+@st.composite
+def tied_expansions(draw):
+    """Up to 7 qubits, coefficients from a few magnitudes so that |c| ties are common."""
+    n = draw(st.integers(1, 7))
+    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    keys = draw(st.lists(masks, min_size=1, max_size=80, unique=True))
+    magnitudes = st.sampled_from([0.25, 1.0, 3.0])
+    phases = st.sampled_from([1.0, -1.0, 1j, -1j, 0.6 + 0.8j, -0.8 + 0.6j])  # |c| may round off 1
+    terms = tuple(
+        (pl.PauliString(n, x, z), complex(draw(magnitudes) * draw(phases))) for x, z in keys
+    )
+    return pl.PauliExpansion(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_expansions())
+def test_grouping_matches_loop_on_tied_expansions(expansion):
+    grouping = pl.group_commuting(expansion)
+    assert (grouping.groups, grouping.basis_rotations) == _loop_group_commuting(expansion)
+
+
+def test_adjoint_product_with_full_weight_strings(rng):
+    # popcounts reach n = 10, so a phase exponent can span -10..40 before mod 4
+    n = 10
+    full = (1 << n) - 1
+    keys = {(full, full), (full, 0), (0, full), (full, 0b1010101010)}
+    while len(keys) < 24:
+        keys.add((int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))))
+    keys = sorted(keys)
+
+    def expansion(order):
+        coefs = rng.standard_normal(len(order)) + 1j * rng.standard_normal(len(order))
+        return pl.PauliExpansion(
+            n, tuple((pl.PauliString(n, x, z), complex(c)) for (x, z), c in zip(order, coefs))
+        )
+
+    left, right = expansion(keys), expansion(keys[::-1])
+    for pair in ((left, right), (left, left)):
+        assert_same_expansion(pl.adjoint_product(*pair), _loop_adjoint_product(*pair))
