@@ -55,6 +55,17 @@ def _masks(expansion: "PauliExpansion") -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
+def _letter_codes(xs: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
+    """(terms, n) array of 2 * x_bit + z_bit per qubit, qubit 0 first: I 0, Z 1, X 2, Y 3."""
+    shifts = np.arange(n - 1, -1, -1)
+    return 2 * ((xs[:, None] >> shifts) & 1) + ((zs[:, None] >> shifts) & 1)
+
+
+def _letters(xs: np.ndarray, zs: np.ndarray, n: int, table: str) -> list[str]:
+    """One n-letter string per (x, z) mask pair, spelling letter code k as table[k]."""
+    return np.array(list(table))[_letter_codes(xs, zs, n)].view(f"<U{n}").ravel().tolist()
+
+
 def _row_blocks(rows: int, width: int):
     """Consecutive row slices of at most _BLOCK entries when each row holds width."""
     step = max(1, _BLOCK // max(width, 1))
@@ -163,27 +174,20 @@ class PauliExpansion:
 
     def serialize(self) -> str:
         """Line format: <string> <re> <im>."""
-        lines = [f"{s.text} {c.real:.17g} {c.imag:.17g}" for s, c in self.terms]
-        return "\n".join(lines) + ("\n" if lines else "")
+        texts = _letters(*_masks(self), self.n_qubits, "IZXY")
+        return "".join(f"{t} {c.real:.17g} {c.imag:.17g}\n" for t, (_, c) in zip(texts, self.terms))
 
     @staticmethod
     def deserialize(text: str, source_tag: str = "") -> "PauliExpansion":
         terms = []
-        n_qubits = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for line in filter(str.strip, text.splitlines()):
             word, re_part, im_part = line.split()
-            string = PauliString.from_text(word)
-            if n_qubits is None:
-                n_qubits = string.n_qubits
-            elif string.n_qubits != n_qubits:
-                raise ContractViolation("mixed qubit counts in serialized expansion")
-            terms.append((string, complex(float(re_part), float(im_part))))
-        if n_qubits is None:
+            terms.append((PauliString.from_text(word), complex(float(re_part), float(im_part))))
+        if not terms:
             raise ContractViolation("empty serialized expansion")
-        return PauliExpansion(n_qubits=n_qubits, terms=tuple(terms), source_tag=source_tag)
+        if len({string.n_qubits for string, _ in terms}) > 1:
+            raise ContractViolation("mixed qubit counts in serialized expansion")
+        return PauliExpansion(terms[0][0].n_qubits, tuple(terms), source_tag)
 
 
 def _from_dense(coefs: np.ndarray, source_tag: str) -> PauliExpansion:
@@ -293,33 +297,43 @@ class MeasurementGrouping:
 def group_commuting(expansion: PauliExpansion) -> MeasurementGrouping:
     """Greedy first-fit grouping over terms by descending |coefficient|, ties in term order.
 
-    Each open group keeps its basis as a letter code (x << n) | z and its support on both
-    halves of the code. A term joins the first group whose letters agree with its own wherever
-    both act (PauliString.commutes_qubit_wise), else the empty slot after the open groups.
+    A term joins the first open group whose letters agree with its own wherever both act
+    (PauliString.commutes_qubit_wise), else opens a new group. Bit g of clash[4 * b + L] is set
+    when group g holds a letter other than L (a _letter_codes code) on qubit bit b. A term joins
+    the lowest bit clear in the OR of its n slots, then sets it in the other two letters' slots
+    of each qubit new to that group. Identity slots stay 0.
     """
     n = expansion.n_qubits
     xs, zs = _masks(expansion)
     coefs = expansion.coefficients
     # hypot rounds |c| as Python's abs does; np.abs differs in the last bit on some c
-    order = np.argsort(-np.hypot(coefs.real, coefs.imag), kind="stable").tolist()
-    codes, supports = (xs << n) | zs, (xs | zs) * ((1 << n) + 1)
-    basis, support = np.zeros((2, len(order) + 1), dtype=np.int64)
-    groups: list[list[int]] = []
-    for idx in order:
-        code, sup = int(codes[idx]), int(supports[idx])  # per term: no list of int objects
-        slots = len(groups) + 1
-        g = int(((basis[:slots] & sup) == (support[:slots] & code)).argmax())
-        if g == len(groups):
-            groups.append([])
-        groups[g].append(idx)
-        basis[g] = (int(basis[g]) & ~sup) | code
-        support[g] = int(support[g]) | sup
-    bits = (basis[: len(groups), None] >> np.arange(2 * n - 1, -1, -1)) & 1  # x bits, z bits
-    letters = np.array(list("ZZXY"))[2 * bits[:, :n] + bits[:, n:]]  # identity reads as Z
-    return MeasurementGrouping(
-        groups=tuple(tuple(g) for g in groups),
-        basis_rotations=tuple(letters.view(f"<U{n}").ravel().tolist()),
-    )
+    order = np.argsort(-np.hypot(coefs.real, coefs.imag), kind="stable")
+    clash = [0] * (4 * n)
+    others = [[k - k % 4 + code for code in (1, 2, 3) if code != k % 4] for k in range(4 * n)]
+    groups, bases = [], []  # per group: term indices, and the x and z masks of its letters
+    for rows in _row_blocks(len(order), 8 * n):  # gathers of at most _BLOCK bytes of slots
+        idxs = order[rows]
+        slots = (_letter_codes(xs[idxs], zs[idxs], n) + 4 * np.arange(n - 1, -1, -1)).tolist()
+        for idx, x, z, own in zip(idxs.tolist(), xs[idxs].tolist(), zs[idxs].tolist(), slots):
+            c = 0
+            for k in own:
+                c |= clash[k]
+            g = (~c & (c + 1)).bit_length() - 1
+            if g == len(groups):
+                groups.append([])
+                bases.append((0, 0))
+            groups[g].append(idx)
+            bx, bz = bases[g]
+            new = (x | z) & ~(bx | bz)
+            if new:
+                bases[g] = (bx | x, bz | z)
+                for k in own:
+                    if (new >> (k >> 2)) & 1:
+                        for other in others[k]:
+                            clash[other] |= 1 << g
+    x_masks, z_masks = np.array(bases, dtype=np.int64).reshape(-1, 2).T
+    rotations = _letters(x_masks, z_masks, n, "ZZXY")  # identity reads as Z
+    return MeasurementGrouping(tuple(map(tuple, groups)), tuple(rotations))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -386,6 +386,11 @@ def _loop_group_commuting(expansion):
     return tuple(tuple(g) for g in groups), rotations
 
 
+def _loop_serialize(expansion):
+    lines = [f"{s.text} {c.real:.17g} {c.imag:.17g}" for s, c in expansion.terms]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def _loop_to_matrix(expansion):
     dim = 1 << expansion.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
@@ -428,6 +433,26 @@ def test_random_matrices_match_loop_versions(data):
     assert_matches_loop_versions(data.draw(matrices), data.draw(matrices))
 
 
+@pytest.mark.parametrize("n", [1, 10])
+def test_serialize_matches_loop_version(n, rng):
+    keys = {(0, 0), ((1 << n) - 1, 0), (0, (1 << n) - 1), ((1 << n) - 1, (1 << n) - 1)}
+    while len(keys) < min(4**n, 30):
+        keys.add((int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))))
+    signed_zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    scales = 10.0 ** rng.integers(-300, 300, size=(len(keys), 2))
+    parts = rng.standard_normal((len(keys), 2)) * scales
+    coefs = signed_zeros + [complex(re, im) for re, im in parts[len(signed_zeros) :]]
+    terms = tuple((pl.PauliString(n, x, z), c) for (x, z), c in zip(sorted(keys), coefs))
+    expansion = pl.PauliExpansion(n, terms)
+    text = expansion.serialize()
+    assert text == _loop_serialize(expansion)
+    zero_parts = [line.split(" ", 1)[1] for line in text.splitlines()[:4]]
+    assert zero_parts == ["0 0", "0 -0", "-0 0", "-0 -0"]
+    back = pl.PauliExpansion.deserialize(text)
+    assert_same_expansion(back, expansion)
+    assert back.serialize() == text
+
+
 def test_adjoint_product_blocks_split_rows(monkeypatch, rng):
     # blocks of one row, and blocks narrower than a row, sum as the loop does
     left = pl.decompose(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
@@ -453,8 +478,33 @@ def tied_expansions(draw):
     return pl.PauliExpansion(n, terms)
 
 
+def _all_strings_expansion(n):
+    """Every string on n qubits, |c| distinct: more than 64 groups once n >= 4."""
+    keys = [(x, z) for x in range(1 << n) for z in range(1 << n)]
+    terms = ((pl.PauliString(n, x, z), complex(1.0 + i, -0.5 * i)) for i, (x, z) in enumerate(keys))
+    return pl.PauliExpansion(n, tuple(terms))
+
+
+def _full_weight_expansion(n, count, seed):
+    """count distinct strings acting on every qubit: none commute qubit-wise, one group each."""
+    rng = np.random.default_rng(seed)
+    full = (1 << n) - 1
+    keys = set()
+    while len(keys) < count:
+        x = int(rng.integers(0, 1 << n))
+        keys.add((x, (full & ~x) | int(rng.integers(0, 1 << n))))  # z covers the qubits x misses
+    coefs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return pl.PauliExpansion(
+        n, tuple((pl.PauliString(n, x, z), complex(c)) for (x, z), c in zip(sorted(keys), coefs))
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(tied_expansions())
+@example(_all_strings_expansion(4))
+@example(_full_weight_expansion(10, 100, seed=3))
+@example(pl.PauliExpansion(3, ((pl.PauliString(3, 0, 0), 2.0 + 0.0j),)))  # identity only
+@example(pl.decompose(np.zeros((4, 4))))  # no terms, no groups
 def test_grouping_matches_loop_on_tied_expansions(expansion):
     grouping = pl.group_commuting(expansion)
     assert (grouping.groups, grouping.basis_rotations) == _loop_group_commuting(expansion)
