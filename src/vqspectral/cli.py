@@ -17,7 +17,8 @@ import numpy as np
 
 from . import anglenet, loss as loss_mod, pauli, qsim, spectral, training
 from .config import (
-    MAX_SYSTEM_SIZE, ExperimentConfig, build_system, canonical_text, parse_config, scaling_config,
+    MAX_SYSTEM_SIZE, ExperimentConfig, _with_setting, build_system, canonical_text, parse_config,
+    scaling_config,
 )
 from .errors import ConfigurationError, TruncationDegenerateError, VqSpectralError
 
@@ -183,7 +184,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_truncation(cfg: ExperimentConfig, out_dir: Path, thresholds=None) -> int:
+def cmd_truncation(cfg: ExperimentConfig, out_dir: Path) -> int:
     system = build_system(cfg)
     _qubit_count(system.size)
     expansion = pauli.decompose(system.matrix, cfg.pde)
@@ -193,11 +194,11 @@ def cmd_truncation(cfg: ExperimentConfig, out_dir: Path, thresholds=None) -> int
     rhs = dataset.train.raw_targets[0]
     reference = spectral.classical_solve(system, rhs)
     rows = []
-    for threshold in thresholds if thresholds is not None else cfg.thresholds:
+    for threshold in cfg.thresholds:
         try:
             truncated, diag = pauli.truncate(expansion, threshold)
         except TruncationDegenerateError:
-            rows.append((float(threshold), 0, float("nan"), float("nan"), float("nan"), 1))
+            rows.append((threshold, 0, float("nan"), float("nan"), float("nan"), 1))
             continue
         reduced = truncated.to_matrix()
         reduced = reduced.real if np.abs(reduced.imag).max() < 1e-12 else reduced
@@ -208,7 +209,7 @@ def cmd_truncation(cfg: ExperimentConfig, out_dir: Path, thresholds=None) -> int
         m = spectral.metrics(approx, reference, system)
         rows.append(
             (
-                float(threshold),
+                threshold,
                 diag.term_count,
                 diag.rel_frobenius_error,
                 diag.condition_number,
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
     for name in ("run", "truncation", "scaling", "signflip"):
         _add_common(subs.add_parser(name))
     subs.choices["truncation"].add_argument(
-        "--thresholds", default=None, help="comma list overriding the study thresholds"
+        "--thresholds", default=None, help="comma list overriding [study] thresholds"
     )
     table = subs.add_parser("table")
     table.add_argument("run_dirs", nargs="*", help="run directories with error_table.csv")
@@ -415,6 +416,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
+        if args.command == "truncation" and args.thresholds:
+            cfg = _with_setting(cfg, "study", "thresholds", args.thresholds)
         if args.dry_run:
             print(canonical_text(cfg), end="")
             return 0
@@ -422,10 +425,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         if args.command == "truncation":
-            thresholds = None
-            if args.thresholds:
-                thresholds = tuple(float(v) for v in args.thresholds.split(","))
-            return cmd_truncation(cfg, out_dir, thresholds)
+            return cmd_truncation(cfg, out_dir)
         if args.command == "scaling":
             return cmd_scaling(cfg, out_dir)
         if args.command == "signflip":

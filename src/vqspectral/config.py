@@ -11,6 +11,7 @@ import configparser
 import dataclasses
 import io
 import math
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -29,49 +30,57 @@ __all__ = [
 MAX_SYSTEM_SIZE = 1 << 10  # largest n_modes ** direction_count a verb builds
 
 
+def _setting(section: str, default, *, key=None, low=None, choices=None):
+    """A field read from `[section] key` (key defaults to the field name).
+
+    low is an inclusive lower bound on the value, or on every entry of a list
+    setting; choices are the accepted values. The kind comes from the annotation.
+    """
+    meta = {"section": section, "key": key, "low": low, "choices": choices}
+    return dataclasses.field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [benchmark]
-    pde: str = "helm1d"
-    boundary: str = "dirichlet"
-    n_modes: int = 16
-    dimensions: int = 1  # joint_helm only; other benchmarks fix their own d
-    epsilon: float = 0.1
-    k_squared: float = 4.0
-    nu: float = 1.0
-    nu2: float = 1.0
-    # [circuit]
-    ansatz: str = "hardware_efficient_ry"
-    layers: int = 8
-    # [network]
-    hidden: tuple[int, ...] = (64, 64)
-    activation: str = "gelu"
-    conv_channels: tuple[int, ...] = ()
-    conv_kernel: int = 3
-    # [dataset]
-    family: str = "trig_1d"
-    train_size: int = 20
-    test_size: int = 50
-    data_seed: int = 11
-    k_min: float = 4.0
-    k_max: float = 5.0
-    k_is_squared: bool = False
-    # [train]
-    objective: str = "unnormalized"
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    epochs: int = 1000
-    eval_every: int = 100
-    gradient_mode: str = "adjoint"
-    net_seed: int = 5
-    # [study]
-    thresholds: tuple[float, ...] = (0.5, 0.1, 0.05, 0.01)
-    scaling_modes: tuple[int, ...] = (4, 8, 16, 32)
-    scaling_dims: tuple[int, ...] = (1,)
-    signflip_seeds: int = 10
+    pde: str = _setting("benchmark", "helm1d", choices=BENCHMARK_PDES)
+    boundary: str = _setting("benchmark", "dirichlet", choices=("dirichlet", "neumann"))
+    n_modes: int = _setting("benchmark", 16)
+    dimensions: int = _setting("benchmark", 1, choices=(1, 2))  # joint_helm's; others fix d
+    epsilon: float = _setting("benchmark", 0.1)
+    k_squared: float = _setting("benchmark", 4.0)
+    nu: float = _setting("benchmark", 1.0)
+    nu2: float = _setting("benchmark", 1.0)
+    ansatz: str = _setting(
+        "circuit", "hardware_efficient_ry", choices=("hardware_efficient_ry", "strongly_entangling")
+    )
+    layers: int = _setting("circuit", 8, low=1)
+    hidden: tuple[int, ...] = _setting("network", (64, 64), low=1)
+    activation: str = _setting("network", "gelu", choices=("relu", "gelu", "identity"))
+    conv_channels: tuple[int, ...] = _setting("network", (), low=1)
+    conv_kernel: int = _setting("network", 3, low=1)
+    family: str = _setting(
+        "dataset", "trig_1d", choices=("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k")
+    )
+    train_size: int = _setting("dataset", 20, low=1)
+    test_size: int = _setting("dataset", 50, low=0)
+    data_seed: int = _setting("dataset", 11, key="seed", low=0)
+    k_min: float = _setting("dataset", 4.0)
+    k_max: float = _setting("dataset", 5.0)
+    k_is_squared: bool = _setting("dataset", False)
+    objective: str = _setting("train", "unnormalized", choices=("unnormalized", "normalized"))
+    optimizer: str = _setting("train", "adam", choices=("adam", "lbfgs"))
+    learning_rate: float = _setting("train", 1e-3)
+    beta1: float = _setting("train", 0.9)
+    beta2: float = _setting("train", 0.999)
+    adam_epsilon: float = _setting("train", 1e-8, key="epsilon")
+    epochs: int = _setting("train", 1000, low=1)
+    eval_every: int = _setting("train", 100, low=1)
+    gradient_mode: str = _setting("train", "adjoint", choices=("adjoint", "parameter_shift"))
+    net_seed: int = _setting("train", 5, key="seed", low=0)
+    thresholds: tuple[float, ...] = _setting("study", (0.5, 0.1, 0.05, 0.01), low=0)
+    scaling_modes: tuple[int, ...] = _setting("study", (4, 8, 16, 32))
+    scaling_dims: tuple[int, ...] = _setting("study", (1,))
+    signflip_seeds: int = _setting("study", 10, low=1)
 
     @property
     def direction_count(self) -> int:
@@ -88,87 +97,28 @@ class ExperimentConfig:
         return seeded
 
 
-_SCHEMA = {
-    "benchmark": {
-        "pde": str,
-        "boundary": str,
-        "n_modes": int,
-        "dimensions": int,
-        "epsilon": float,
-        "k_squared": float,
-        "nu": float,
-        "nu2": float,
-    },
-    "circuit": {"ansatz": str, "layers": int},
-    "network": {
-        "hidden": "int_list",
-        "activation": str,
-        "conv_channels": "int_list",
-        "conv_kernel": int,
-    },
-    "dataset": {
-        "family": str,
-        "train_size": int,
-        "test_size": int,
-        "seed": int,
-        "k_min": float,
-        "k_max": float,
-        "k_is_squared": bool,
-    },
-    "train": {
-        "objective": str,
-        "optimizer": str,
-        "learning_rate": float,
-        "beta1": float,
-        "beta2": float,
-        "epsilon": float,
-        "epochs": int,
-        "eval_every": int,
-        "gradient_mode": str,
-        "seed": int,
-    },
-    "study": {
-        "thresholds": "float_list",
-        "scaling_modes": "int_list",
-        "scaling_dims": "int_list",
-        "signflip_seeds": int,
-    },
-}
-
-# (section, key) -> dataclass field; keys named "seed"/"epsilon" collide across
-# sections, hence the indirection
-_FIELD_OF = {
-    ("dataset", "seed"): "data_seed",
-    ("train", "seed"): "net_seed",
-    ("train", "epsilon"): "adam_epsilon",
-}
-
-
-def _field_name(section: str, key: str) -> str:
-    return _FIELD_OF.get((section, key), key)
+# section -> key -> field, in field order, which is the order canonical_text writes
+_SETTINGS: dict[str, dict[str, dataclasses.Field]] = {}
+for _f in dataclasses.fields(ExperimentConfig):
+    _SETTINGS.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f
+_KINDS = typing.get_type_hints(ExperimentConfig)  # field name -> int, float, bool, str or tuple
 
 
 def _parse_value(kind, raw: str, where: str):
     raw = raw.strip()
+    if entry_kinds := typing.get_args(kind):  # tuple[int, ...] or tuple[float, ...]: a comma list
+        return tuple(_parse_value(entry_kinds[0], v, where) for v in raw.split(",") if v.strip())
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(raw)
-            return value
         if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if kind == "int_list":
-            return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
-        if kind == "float_list":
-            return tuple(_parse_value(float, v, where) for v in raw.split(",") if v.strip())
-        return raw
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError:
         raise ConfigurationError(f"invalid value {raw!r} for {where}") from None
 
@@ -181,14 +131,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"malformed config: {err}") from None
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SETTINGS:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SETTINGS[section]:
                 raise ConfigurationError(f"unknown key [{section}] {key}")
-            values[_field_name(section, key)] = _parse_value(
-                _SCHEMA[section][key], raw, f"[{section}] {key}"
-            )
+            name = _SETTINGS[section][key].name
+            values[name] = _parse_value(_KINDS[name], raw, f"[{section}] {key}")
     cfg = dataclasses.replace(ExperimentConfig(), **values)
     _validate(cfg)
     return cfg
@@ -199,40 +148,25 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
-# (section, key, smallest allowed value) of the integer settings
-_LOWER_BOUNDS = (
-    ("circuit", "layers", 1),
-    ("network", "conv_kernel", 1),
-    ("dataset", "train_size", 1),
-    ("dataset", "test_size", 0),
-    ("dataset", "seed", 0),
-    ("train", "epochs", 1),
-    ("train", "eval_every", 1),
-    ("train", "seed", 0),
-    ("study", "signflip_seeds", 1),
-)
-
-
-# (section, key, accepted values) of the string settings
-_CHOICES = (
-    ("benchmark", "pde", BENCHMARK_PDES),
-    ("benchmark", "boundary", ("dirichlet", "neumann")),
-    ("circuit", "ansatz", ("hardware_efficient_ry", "strongly_entangling")),
-    ("network", "activation", ("relu", "gelu", "identity")),
-    ("dataset", "family", ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k")),
-    ("train", "objective", ("unnormalized", "normalized")),
-    ("train", "optimizer", ("adam", "lbfgs")),
-    ("train", "gradient_mode", ("adjoint", "parameter_shift")),
-)
+def _with_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> ExperimentConfig:
+    """A CLI override: cfg with `[section] key = raw`, parsed and checked like a config line."""
+    name = _SETTINGS[section][key].name
+    cfg = dataclasses.replace(cfg, **{name: _parse_value(_KINDS[name], raw, f"[{section}] {key}")})
+    _validate(cfg)
+    return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    for section, key, choices in _CHOICES:
-        value = getattr(cfg, key)
-        if value not in choices:
-            raise ConfigurationError(
-                f"[{section}] {key} must be one of {', '.join(choices)}, got {value!r}"
-            )
+    for section, fields in _SETTINGS.items():
+        for key, field in fields.items():
+            value = getattr(cfg, field.name)
+            low, choices = field.metadata["low"], field.metadata["choices"]
+            if choices is not None and value not in choices:
+                shown = ", ".join(map(str, choices))
+                raise ConfigurationError(f"[{section}] {key} must be one of {shown}, got {value!r}")
+            entries = value if isinstance(value, tuple) else (value,)
+            if low is not None and not all(entry >= low for entry in entries):
+                raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {_fmt(value)}")
     # every system size is a power of the mode count, and a circuit needs a power of two
     if not _valid_modes(cfg.n_modes):
         raise ConfigurationError(
@@ -242,8 +176,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"[study] scaling_modes must be powers of two >= 2, got {_fmt(cfg.scaling_modes)}"
         )
-    if cfg.dimensions not in (1, 2):
-        raise ConfigurationError(f"[benchmark] dimensions must be 1 or 2, got {cfg.dimensions}")
     # each entry names the pde the scaling study builds, which the family table must know
     fits = (d in (1, 2) and scaling_config(cfg, d).pde in BENCHMARK_PDES for d in cfg.scaling_dims)
     if not all(fits):
@@ -272,12 +204,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"[dataset] family {cfg.family} does not fit pde {cfg.pde}, "
             f"which has {cfg.direction_count} direction(s)"
         )
-    for section, key, low in _LOWER_BOUNDS:
-        value = getattr(cfg, _field_name(section, key))
-        if not value >= low:
-            raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {value}")
-    for key in ("learning_rate", "epsilon"):
-        value = getattr(cfg, _field_name("train", key))
+    for key, value in (("learning_rate", cfg.learning_rate), ("epsilon", cfg.adam_epsilon)):
         if not value > 0:
             raise ConfigurationError(f"[train] {key} must be > 0, got {value}")
     for key in ("beta1", "beta2"):
@@ -286,10 +213,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"[train] {key} must be in [0, 1), got {value}")
     if cfg.conv_kernel % 2 == 0:
         raise ConfigurationError(f"[network] conv_kernel must be odd, got {cfg.conv_kernel}")
-    for key in ("hidden", "conv_channels"):
-        widths = getattr(cfg, key)
-        if any(width < 1 for width in widths):
-            raise ConfigurationError(f"[network] {key} widths must be >= 1, got {_fmt(widths)}")
     if cfg.conv_channels and cfg.family not in ("trig_2d", "wave_family"):  # grid features
         raise ConfigurationError(f"[network] conv_channels needs a grid family, got {cfg.family}")
     if not cfg.k_min <= cfg.k_max:
@@ -320,10 +243,10 @@ def _fmt(value) -> str:
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Stable, fully explicit rendering; parsing it reproduces cfg exactly."""
     out = io.StringIO()
-    for section, keys in _SCHEMA.items():
+    for section, fields in _SETTINGS.items():
         out.write(f"[{section}]\n")
-        for key in keys:
-            out.write(f"{key} = {_fmt(getattr(cfg, _field_name(section, key)))}\n")
+        for key, field in fields.items():
+            out.write(f"{key} = {_fmt(getattr(cfg, field.name))}\n")
         out.write("\n")
     return out.getvalue()
 

@@ -16,6 +16,7 @@ from vqspectral.config import (
     ExperimentConfig,
     build_system,
     canonical_text,
+    parse_config,
     parse_config_text,
 )
 from vqspectral.errors import ConfigurationError
@@ -24,6 +25,7 @@ from vqspectral.spectral import BENCHMARK_PDES
 from conftest import fail_grad_total_at
 
 GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 MINI_RUN_CFG = """
 [benchmark]
@@ -63,6 +65,15 @@ def test_defaults_round_trip():
     cfg = ExperimentConfig()
     text = canonical_text(cfg)
     assert parse_config_text(text) == cfg
+
+
+@pytest.mark.parametrize("name", ["default"] + sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_canonical_text_matches_golden(name):
+    # every verb writes this text as resolved_config.txt; old ones must re-parse unchanged
+    cfg = ExperimentConfig() if name == "default" else parse_config(CONFIGS / f"{name}.cfg")
+    golden = (GOLDEN / "canonical" / f"{name}.txt").read_text(encoding="utf-8")
+    assert canonical_text(cfg) == golden
+    assert parse_config_text(golden) == cfg
 
 
 def test_canonicalization_idempotent():
@@ -137,7 +148,7 @@ def _valid_configs(draw):
         eval_every=_COUNTS,
         gradient_mode=st.sampled_from(["adjoint", "parameter_shift"]),
         net_seed=st.integers(0, 2**63),  # numpy seeds are non-negative
-        thresholds=_tuples(_REALS),
+        thresholds=_tuples(st.floats(0.0, allow_infinity=False)),
         scaling_modes=_tuples(_POWERS),
         scaling_dims=_tuples(st.just(1) if pde == "wave1d" else st.integers(1, 2)),  # no wave2d
         signflip_seeds=_COUNTS,
@@ -456,6 +467,7 @@ FLOAT_KEYS = [
         ("train", "seed", "-1"),
         ("network", "conv_channels", "4,-2"),  # used to raise a numpy traceback
         ("network", "conv_channels", "0"),  # used to run with an empty channel
+        ("study", "thresholds", "0.1,-0.5"),  # the run used to exit 1 naming no key
     ],
 )
 def test_out_of_range_values_exit_two(tmp_path, capsys, section, key, value):
@@ -701,6 +713,27 @@ def test_truncation_flags_degenerate_rows(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1][-1] == "1"  # degenerate flag set
     assert rows[2][-1] == "0"
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_bad_thresholds_override_exits_two(tmp_path, capsys, value):
+    # abc raised a ValueError traceback, nan wrote a NaN row and exited 0, and -1
+    # exited 1 naming no key
+    cfg_path = write_cfg(tmp_path, MINI_RUN_CFG)
+    argv = ["truncation", "--config", cfg_path, "--out", str(tmp_path / "o")]
+    assert cli.main(argv + [f"--thresholds={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "[study] thresholds" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not (tmp_path / "o").exists()
+
+
+def test_thresholds_override_is_resolved(tmp_path, capsys):
+    # the override used to bypass the resolved config, so --dry-run and
+    # resolved_config.txt showed the config file's thresholds instead
+    cfg_path = write_cfg(tmp_path, MINI_RUN_CFG)
+    argv = ["truncation", "--config", cfg_path, "--thresholds", "0.5", "--dry-run"]
+    assert cli.main(argv) == 0
+    assert "\nthresholds = 0.5\n" in capsys.readouterr().out
 
 
 def test_table_aggregates_and_warns(tmp_path, capsys):
