@@ -9,6 +9,7 @@ differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ __all__ = [
     "NetworkState",
     "Tape",
     "init",
+    "layer_views",
+    "flatten",
     "forward",
     "backward",
     "save_checkpoint",
@@ -115,20 +118,19 @@ class NetworkSpec:
 
 @dataclass
 class NetworkState:
-    spec: NetworkSpec
-    weights: list
-    biases: list
+    """A network's parameters in one contiguous float64 buffer, laid out
+    w0, b0, w1, b1, ...; weights[i] and biases[i] are views into it."""
 
-    @property
-    def parameter_count(self) -> int:
-        return int(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+    spec: NetworkSpec
+    params: np.ndarray
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = layer_views(self.spec, self.params)
 
     def copy(self) -> "NetworkState":
-        return NetworkState(
-            spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return NetworkState(self.spec, self.params.copy())
 
 
 def _param_shapes(layer) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -138,10 +140,26 @@ def _param_shapes(layer) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel), (layer.out_channels,)
 
 
+def layer_views(spec: NetworkSpec, flat: np.ndarray) -> tuple[list, list]:
+    """(weights, biases): per-layer views into a flat w0, b0, w1, b1, ... buffer."""
+    shapes = [shape for layer in spec.layers for shape in _param_shapes(layer)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ContractViolation(f"parameters shaped {flat.shape}, the network has {sum(sizes)}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return views[0::2], views[1::2]
+
+
+def flatten(pairs) -> np.ndarray:
+    """(dW, db) pairs, one per layer, as one vector in the layer_views order."""
+    return np.concatenate([a.reshape(-1) for pair in pairs for a in pair])
+
+
 def init(spec: NetworkSpec, seed: int) -> NetworkState:
     """He-uniform weights for relu layers, Xavier-uniform otherwise; zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    pairs = []
     for layer in spec.layers:
         shape, bias_shape = _param_shapes(layer)
         fan_in = int(np.prod(shape[1:]))  # in_dim, or in_channels * kernel^2
@@ -150,9 +168,8 @@ def init(spec: NetworkSpec, seed: int) -> NetworkState:
             limit = np.sqrt(6.0 / fan_in)
         else:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=shape))
-        biases.append(np.zeros(bias_shape))
-    return NetworkState(spec=spec, weights=weights, biases=biases)
+        pairs.append((rng.uniform(-limit, limit, size=shape), np.zeros(bias_shape)))
+    return NetworkState(spec, flatten(pairs))
 
 
 def _conv_windows(padded: np.ndarray, kernel: int) -> np.ndarray:
@@ -313,9 +330,8 @@ def load_checkpoint(path) -> NetworkState:
                     )
                 )
         spec = NetworkSpec(input_shape=tuple(meta["input_shape"]), layers=tuple(layers))
-        weights = [data[f"w{i}"] for i in range(len(layers))]
-        biases = [data[f"b{i}"] for i in range(len(layers))]
-    for i, layer in enumerate(layers):
-        if (weights[i].shape, biases[i].shape) != _param_shapes(layer):
+        pairs = [(data[f"w{i}"], data[f"b{i}"]) for i in range(len(layers))]
+    for i, (layer, (w, b)) in enumerate(zip(layers, pairs)):
+        if (w.shape, b.shape) != _param_shapes(layer):
             raise ConfigurationError(f"checkpoint arrays w{i}/b{i} do not fit layer {i}: {layer}")
-    return NetworkState(spec=spec, weights=weights, biases=biases)
+    return NetworkState(spec, flatten(pairs))

@@ -326,13 +326,12 @@ def _prepare_state_angles(
     """Fit circuit angles that prepare a given unit state (least squares)."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, program.n_slots)
-    params = [theta]
-    adam = training.AdamState.for_params(params)
+    adam = training.AdamState.for_params(theta)
     tape = qsim.Tape()
     for _ in range(iters):
         psi = qsim.run_batch(program, theta[None, :], tape)
         grad = qsim.adjoint_gradient(program, theta[None, :], psi - target, tape)[0]
-        training.adam_step(adam, params, [grad], lr=lr)
+        training.adam_step(adam, theta, grad, lr=lr)
     return theta
 
 

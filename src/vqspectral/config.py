@@ -167,6 +167,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             entries = value if isinstance(value, tuple) else (value,)
             if low is not None and not all(entry >= low for entry in entries):
                 raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {_fmt(value)}")
+    for key in ("thresholds", "scaling_modes", "scaling_dims"):  # a study of nothing reports nothing
+        if not getattr(cfg, key):
+            raise ConfigurationError(f"[study] {key} must list at least one entry")
     # every system size is a power of the mode count, and a circuit needs a power of two
     if not _valid_modes(cfg.n_modes):
         raise ConfigurationError(

@@ -181,40 +181,35 @@ def feature_batch(split: Split, input_shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
-    def for_params(params: list) -> "AdamState":
-        return AdamState(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(params: np.ndarray) -> "AdamState":
+        return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
     state: AdamState,
-    params: list,
-    grads: list,
+    params: np.ndarray,
+    grads: np.ndarray,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on params."""
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient in Adam step")
+    """One bias-corrected Adam update, in place on the params vector."""
+    if not np.all(np.isfinite(grads)):
+        raise DivergenceError("non-finite gradient in Adam step")
     state.t += 1
     b1t = 1.0 - beta1**state.t
     b2t = 1.0 - beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grads
+    state.v *= beta2
+    state.v += (1.0 - beta2) * grads * grads
+    params -= lr * (state.m / b1t) / (np.sqrt(state.v / b2t) + eps)
     return state
 
 
@@ -446,8 +441,6 @@ def train(
     best = (np.inf, 0, net.copy())  # (test rel L2, epoch, snapshot)
     aborted, reason = False, ""
 
-    params = [p for pair in zip(net.weights, net.biases) for p in pair]
-
     def record(epoch: int) -> None:
         nonlocal best
         tr = evaluate_split(
@@ -481,46 +474,34 @@ def train(
             objective=config.objective,
             gradient_mode=config.gradient_mode,
         )
-        return value.total, [g for pair in grads for g in pair]
+        return value.total, anglenet.flatten(grads)
 
     if config.optimizer == "lbfgs":
-        shapes = [p.shape for p in params]
-
-        def pack() -> np.ndarray:
-            return np.concatenate([p.reshape(-1) for p in params])
-
-        def unpack(x: np.ndarray) -> None:
-            off = 0
-            for p, shape in zip(params, shapes):
-                size = int(np.prod(shape))
-                p[...] = x[off : off + size].reshape(shape)
-                off += size
 
         def closure(x: np.ndarray):
-            unpack(x)
-            total, grads = gradient()
-            return total, np.concatenate([g.reshape(-1) for g in grads])
+            net.params[...] = x
+            return gradient()
 
         lbfgs = None
 
         def step() -> None:
             nonlocal lbfgs
             if lbfgs is None:  # the first evaluation belongs to epoch 1
-                f0, g0 = closure(pack())
-                lbfgs = LbfgsState(x=pack(), f=f0, g=g0, m=10)
+                f0, g0 = gradient()
+                lbfgs = LbfgsState(x=net.params.copy(), f=f0, g=g0, m=10)
             lbfgs_step(lbfgs, closure)
-            unpack(lbfgs.x)
+            net.params[...] = lbfgs.x
             _check_loss(lbfgs.f)
 
     else:
-        adam = AdamState.for_params(params)
+        adam = AdamState.for_params(net.params)
 
         def step() -> None:
             total, grads = gradient()
             _check_loss(total)  # abort before applying a diverged step
             adam_step(
                 adam,
-                params,
+                net.params,
                 grads,
                 lr=config.learning_rate,
                 beta1=config.beta1,

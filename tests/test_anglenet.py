@@ -311,21 +311,58 @@ def test_init_respects_fan_in_bounds():
 
 def test_parameter_count():
     net = an.init(dense_spec(10, 20, 5), 0)
-    assert net.parameter_count == 10 * 20 + 20 + 20 * 5 + 5
+    assert net.params.size == 10 * 20 + 20 + 20 * 5 + 5
+
+
+CONV_SPEC = an.NetworkSpec(
+    (1, 4, 4), (an.Conv2d(1, 2, 3, "relu"), an.Dense(2 * 4 * 4, 6, "gelu"), an.Dense(6, 3))
+)
+
+
+def test_layers_are_views_of_the_parameter_buffer():
+    net = an.init(CONV_SPEC, 3)
+    arrays = [a for pair in zip(net.weights, net.biases) for a in pair]
+    assert np.array_equal(net.params, np.concatenate([a.reshape(-1) for a in arrays]))
+    net.params[:] = np.arange(net.params.size)  # buffer -> views
+    start = 0
+    for a in arrays:
+        assert np.array_equal(a.reshape(-1), np.arange(start, start + a.size))
+        start += a.size
+    net.weights[1][2, 5] = -1.0  # views -> buffer
+    net.biases[2][...] = -2.0
+    offset = CONV_SPEC.layers[0].out_channels * (1 + 9) + 2 * 32 + 5
+    assert net.params[offset] == -1.0
+    assert np.all(net.params[-3:] == -2.0)
+
+
+def test_copy_shares_no_memory():
+    net = an.init(CONV_SPEC, 3)
+    twin = net.copy()
+    assert np.array_equal(twin.params, net.params)
+    for a in [twin.params, *twin.weights, *twin.biases]:
+        assert not any(np.shares_memory(a, b) for b in [net.params, *net.weights, *net.biases])
+    twin.params[:] = 0.0
+    assert np.any(net.params != 0.0)
+
+
+@pytest.mark.parametrize("size_change", [-1, 1])
+def test_layer_views_reject_wrong_length(size_change):
+    size = an.init(CONV_SPEC, 0).params.size + size_change
+    with pytest.raises(ContractViolation):
+        an.layer_views(CONV_SPEC, np.zeros(size))
+    with pytest.raises(ContractViolation):
+        an.NetworkState(CONV_SPEC, np.zeros(size))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
-    spec = an.NetworkSpec(
-        (1, 4, 4),
-        (an.Conv2d(1, 2, 3, "relu"), an.Dense(2 * 4 * 4, 6, "gelu"), an.Dense(6, 3)),
-    )
-    net = an.init(spec, 9)
+    net = an.init(CONV_SPEC, 9)
     path = tmp_path / "checkpoint.bin"
     an.save_checkpoint(net, path)
     loaded = an.load_checkpoint(path)
     assert loaded.spec == net.spec
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
     assert all(np.array_equal(a, b) for a, b in zip(net.biases, loaded.biases))
+    assert np.array_equal(net.params, loaded.params)
     x = rng.standard_normal((1, 4, 4))
     assert np.array_equal(an.forward(net, x), an.forward(loaded, x))
 

@@ -91,8 +91,8 @@ _COUNTS = st.integers(1, 10_000)
 _POWERS = st.integers(1, 12).map(lambda e: 1 << e)
 
 
-def _tuples(values):
-    return st.lists(values, max_size=4).map(tuple)
+def _tuples(values, min_size=0):
+    return st.lists(values, min_size=min_size, max_size=4).map(tuple)
 
 
 # the dataset families that sample a domain with this many directions
@@ -148,9 +148,10 @@ def _valid_configs(draw):
         eval_every=_COUNTS,
         gradient_mode=st.sampled_from(["adjoint", "parameter_shift"]),
         net_seed=st.integers(0, 2**63),  # numpy seeds are non-negative
-        thresholds=_tuples(st.floats(0.0, allow_infinity=False)),
-        scaling_modes=_tuples(_POWERS),
-        scaling_dims=_tuples(st.just(1) if pde == "wave1d" else st.integers(1, 2)),  # no wave2d
+        # a study needs at least one entry of each list; there is no wave2d
+        thresholds=_tuples(st.floats(0.0, allow_infinity=False), min_size=1),
+        scaling_modes=_tuples(_POWERS, min_size=1),
+        scaling_dims=_tuples(st.just(1) if pde == "wave1d" else st.integers(1, 2), min_size=1),
         signflip_seeds=_COUNTS,
     )
     assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -468,6 +469,9 @@ FLOAT_KEYS = [
         ("network", "conv_channels", "4,-2"),  # used to raise a numpy traceback
         ("network", "conv_channels", "0"),  # used to run with an empty channel
         ("study", "thresholds", "0.1,-0.5"),  # the run used to exit 1 naming no key
+        ("study", "thresholds", ""),  # empty lists used to write a header-only CSV and exit 0
+        ("study", "scaling_modes", ""),
+        ("study", "scaling_dims", " , "),
     ],
 )
 def test_out_of_range_values_exit_two(tmp_path, capsys, section, key, value):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vqspectral import anglenet as an
 from vqspectral import loss as ls
@@ -151,35 +154,92 @@ def test_train_config_rejects_nonpositive_counts(field):
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    params = [np.array([1.0, -2.0])]
+    params = np.array([1.0, -2.0])
     state = tr.AdamState.for_params(params)
-    tr.adam_step(state, params, [np.zeros(2)], lr=0.1)
-    assert np.array_equal(params[0], [1.0, -2.0])
+    tr.adam_step(state, params, np.zeros(2), lr=0.1)
+    assert np.array_equal(params, [1.0, -2.0])
 
 
 def test_adam_first_step_value():
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = tr.AdamState.for_params(params)
-    tr.adam_step(state, params, [np.array([1.0])], lr=0.1)
-    assert params[0][0] == pytest.approx(-0.1, rel=1e-6)
+    tr.adam_step(state, params, np.array([1.0]), lr=0.1)
+    assert params[0] == pytest.approx(-0.1, rel=1e-6)
 
 
 def test_adam_step_size_bounded_for_constant_gradient():
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = tr.AdamState.for_params(params)
     prev = 0.0
     for _ in range(200):
-        tr.adam_step(state, params, [np.array([1.0])], lr=0.05)
-        delta = abs(params[0][0] - prev)
-        prev = params[0][0]
+        tr.adam_step(state, params, np.array([1.0]), lr=0.05)
+        delta = abs(params[0] - prev)
+        prev = params[0]
         assert delta <= 0.05 * 1.01
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = tr.AdamState.for_params(params)
     with pytest.raises(DivergenceError):
-        tr.adam_step(state, params, [np.array([np.nan])], lr=0.1)
+        tr.adam_step(state, params, np.array([np.nan]), lr=0.1)
+
+
+def reference_adam_step(m, v, t, params, grads, lr, beta1, beta2, eps):
+    """Adam over a list of arrays, one array at a time: the reference for the flat step."""
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError("non-finite gradient in Adam step")
+    b1t = 1.0 - beta1**t
+    b2t = 1.0 - beta2**t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * g * g
+        p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + eps)
+
+
+# zero and huge entries included; huge ones square to inf in v, as they would in training
+_ENTRIES = st.one_of(
+    st.just(0.0), st.floats(-1e3, 1e3), st.sampled_from([1e154, -1e200, 1e300, 5e-324])
+)
+
+
+_HYPER = st.tuples(
+    st.floats(1e-4, 1.0), st.floats(0.0, 0.99), st.floats(0.0, 0.9999), st.floats(1e-12, 1e-6)
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.lists(st.integers(1, 5), min_size=2, max_size=5), st.integers(1, 4), _HYPER)
+def test_flat_adam_matches_per_array_reference(data, widths, steps, hyper):
+    lr, beta1, beta2, eps = hyper
+    layers = tuple(an.Dense(i, o) for i, o in zip(widths, widths[1:]))
+    spec = an.NetworkSpec((widths[0],), layers)
+    net = an.init(spec, data.draw(st.integers(0, 2**32 - 1)))
+    ref_params = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    state = tr.AdamState.for_params(net.params)
+    for t in range(1, steps + 1):
+        grads = [data.draw(hnp.arrays(float, p.shape, elements=_ENTRIES)) for p in ref_params]
+        flat_grads = np.concatenate([g.reshape(-1) for g in grads])
+        tr.adam_step(state, net.params, flat_grads, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        reference_adam_step(ref_m, ref_v, t, ref_params, grads, lr, beta1, beta2, eps)
+        assert state.t == t
+        flat_ref = np.concatenate([p.reshape(-1) for p in ref_params])
+        assert np.array_equal(net.params, flat_ref, equal_nan=True)
+        assert np.array_equal(state.m, np.concatenate([m.reshape(-1) for m in ref_m]))
+        assert np.array_equal(state.v, np.concatenate([v.reshape(-1) for v in ref_v]))
+    bad = data.draw(st.integers(0, net.params.size - 1))
+    grads = np.zeros_like(net.params)
+    grads[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    before = net.params.copy()
+    with pytest.raises(DivergenceError):
+        tr.adam_step(state, net.params, grads, lr=lr)
+    assert np.array_equal(net.params, before, equal_nan=True) and state.t == steps
 
 
 # ---------------------------------------------------------------------------
