@@ -322,29 +322,29 @@ def imag_overlap_diagnostic(ctx: LossContext, states: np.ndarray) -> np.ndarray:
     return _overlap_beta(ctx, _apply(ctx, states))[0].imag
 
 
-def recover_solution(state: np.ndarray, ctx: LossContext, instance: int) -> SolutionField:
-    """Rescale the converged unit state back to physical coefficients.
+def recover_solution(
+    states: np.ndarray, ctx: LossContext, instance: int | None = None
+) -> SolutionField:
+    """Rescale converged unit states back to physical coefficients.
 
     alpha = Re(psi) * ||F_raw|| / sqrt(beta), so that A alpha reproduces the
-    unnormalized right-hand side at the optimum. A non-negligible imaginary
-    residue on a real-solution problem triggers a warning rather than an error.
+    unnormalized right-hand side at the optimum. Takes one state of the given
+    instance, or (D, K) rows of all the context's instances, and returns
+    fields shaped like them. A non-negligible imaginary residue on a
+    real-solution problem triggers a warning naming the instance, not an error.
     """
-    state = np.asarray(state, dtype=complex)
-    applied = _apply(ctx, state[None, :], instances=[instance])[0]
-    beta = float(np.vdot(applied, applied).real)
-    _guard_beta(np.array([beta]))
-    norm = float(np.linalg.norm(state))
-    residue = float(np.linalg.norm(state.imag)) / max(norm, 1e-300)
-    if residue > 1e-6:
-        warnings.warn(
-            f"instance {instance}: imaginary residue {residue:.3e} in recovered state",
-            PhaseContaminationWarning,
-            stacklevel=2,
-        )
-    scale = float(ctx.raw_norms[instance]) / np.sqrt(beta)
-    coeffs = state.real * scale
-    if ctx.system is not None:
-        nodal = reconstruct(ctx.system, coeffs)
-    else:
-        nodal = coeffs.copy()
+    single = instance is not None
+    rows = np.asarray(states, dtype=complex)[None, :] if single else _check_states(ctx, states)
+    instances = np.array([instance]) if single else np.arange(ctx.n_instances)
+    applied = _apply(ctx, rows, instances=instances)
+    beta = _guard_beta(np.einsum("ik,ik->i", applied.conj(), applied).real)
+    residue = np.linalg.norm(rows.imag, axis=1) / np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
+    for i in np.flatnonzero(residue > 1e-6):
+        message = f"instance {instances[i]}: imaginary residue {residue[i]:.3e} in recovered state"
+        warnings.warn(message, PhaseContaminationWarning, stacklevel=2)
+    scale = ctx.raw_norms[instances] / np.sqrt(beta)
+    coeffs = rows.real * scale[:, None]
+    nodal = coeffs.copy() if ctx.system is None else reconstruct(ctx.system, coeffs)
+    if single:
+        return SolutionField(coefficients=coeffs[0], nodal_values=nodal[0], scale=float(scale[0]))
     return SolutionField(coefficients=coeffs, nodal_values=nodal, scale=scale)

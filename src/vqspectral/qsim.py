@@ -11,16 +11,17 @@ A program is compiled once, on first use, into a short list of fused steps
 gather, and a local step turns every qubit by one 2x2 unitary, the hadamards
 that reached it since its last step followed by at most one rotation. A
 program of h, ry and cnot alone has real amplitudes, so it runs in float64.
-The forward run walks the list and can record a Tape, which the adjoint sweep
-walks back on the cotangent alone, undoing each local step by the conjugate
-transpose of its taped factors.
+A run builds every local step's factors at once from Kronecker tables of the
+qubit blocks (pairs, and a lone last qubit for odd n) and a step applies them
+by one matmul per block. The forward run can record a Tape, which the adjoint
+sweep walks back on the conjugate cotangent alone, undoing each local step by
+the plain transposes of its taped factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
@@ -161,29 +162,46 @@ def zero_state(n: int, batch: int | None = None, dtype=complex) -> np.ndarray:
     return state
 
 
-def _kron(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of one 2x2 matrix per qubit, mats shaped (..., n, 2, 2):
-    Kronecker pairs for qubits (0, 1), (2, 3), ... shaped (..., n // 2, 4, 4)
-    and the lone last qubit of odd n shaped (..., n % 2, 2, 2)."""
-    pairs = mats.shape[-3] // 2
-    kron = mats[..., 0 : 2 * pairs : 2, :, None, :, None] * mats[..., 1::2, None, :, None, :]
-    return kron.reshape(kron.shape[:-4] + (4, 4)), mats[..., 2 * pairs :, :, :]
+def _block_tables(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per qubit block, the Kronecker products of one term per qubit, for
+    mats shaped (R, n, T, 2, 2): T terms per qubit and step. Pairs come shaped
+    (n // 2, R, T * T, 16), a lone last qubit (n % 2, R, T, 4), flattened."""
+    r, n, t = mats.shape[:3]
+    p = n // 2
+    pairs = np.einsum("rqaik,rqbjl->qrabijkl", mats[:, 0 : 2 * p : 2], mats[:, 1 : 2 * p : 2])
+    return pairs.reshape(p, r, t * t, 16), mats[:, 2 * p :].swapaxes(0, 1).reshape(n % 2, r, t, 4)
 
 
-def _turn(state: np.ndarray, pairs: np.ndarray, lones: np.ndarray) -> np.ndarray:
-    """Turn every qubit of a (B, ..., 2^n) state by its own 2x2 matrix M_q,
-    given as the factors _kron builds from the transposes M_q^T, shaped
-    (B, n // 2, 4, 4) and (B, n % 2, 2, 2). Each factor multiplies the state's
-    leading qubits from the right and leaves them last, so after all of them
-    the state is back in its own qubit order."""
-    shape = state.shape
-    size = prod(shape[1:])  # explicit sizes keep an empty batch reshapeable
-    for group in (pairs, lones):
-        for factor in group.swapaxes(0, 1):
-            width = factor.shape[-1]
-            block = state.reshape(shape[:-1] + (width, shape[-1] // width)).swapaxes(-1, -2)
-            state = (block.reshape(shape[0], size // width, width) @ factor).reshape(shape)
-    return state
+def _block_factors(weights: np.ndarray, pair_tables: np.ndarray, lone_tables: np.ndarray) -> tuple:
+    """Per block, every step's factors shaped (R, B, w, w) from real per-qubit
+    term weights shaped (n, T, R, B): a pair's weight outer product, or a lone
+    qubit's weights, times the block's table (a complex one as its float view)."""
+    n, t, r, b = weights.shape
+    p = n // 2
+    outer = weights[0 : 2 * p : 2, :, None] * weights[1 : 2 * p : 2, None, :]  # (p, T, T, R, B)
+    outer = outer.transpose(0, 3, 4, 1, 2).reshape(p, r, b, t * t)
+    pairs = (outer @ pair_tables.view(float)).view(pair_tables.dtype).reshape(p, r, b, 4, 4)
+    lones = weights[2 * p :].transpose(0, 2, 3, 1) @ lone_tables.view(float)
+    return (*pairs, *lones.view(lone_tables.dtype).reshape(n % 2, r, b, 2, 2))
+
+
+def _turn(state: np.ndarray, factors: list) -> np.ndarray:
+    """Turn every qubit of a (B, 2^n) state by its own 2x2 matrix M_q, given per
+    block as the Kronecker product F of its M_q^T, shaped (B, w, w): the first
+    block by F^T from the left, the last by F from the right, and one in between
+    (n >= 5) from the left between two transposing copies that rotate it first."""
+    b, dim = state.shape
+    head = factors[0].shape[-1]  # the dimension of the qubits before the next block
+    state = factors[0].swapaxes(-1, -2) @ state.reshape(b, head, dim // head)
+    for factor in factors[1:-1]:
+        width, rest = factor.shape[-1], dim // head
+        rotated = state.reshape(b, head, rest).swapaxes(-1, -2).reshape(b, width, dim // width)
+        state = (factor.swapaxes(-1, -2) @ rotated).reshape(b, rest, head).swapaxes(-1, -2)
+        head *= width
+    if len(factors) > 1:
+        width = factors[-1].shape[-1]
+        state = state.reshape(b, dim // width, width) @ factors[-1]
+    return state.reshape(b, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +212,10 @@ class _Gather:
     inverse: np.ndarray
 
     def apply(self, state: np.ndarray, factors) -> np.ndarray:
-        return state[..., self.perm]
+        return state.take(self.perm, axis=-1)
 
     def undo(self, state: np.ndarray, factors) -> np.ndarray:
-        return state[..., self.inverse]
+        return state.take(self.inverse, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,26 +224,26 @@ class _Local:
 
     C_q is the product of the hadamards that reached q since its last step,
     and R_q(theta) = cos(theta/2) I + sin(theta/2) G the rotation, if any,
-    that follows them. The step applies row `row` of the factors that _kron
-    builds from _Compiled.turns; the conjugate transposes of the same factors
-    undo it. Since dU_q/dtheta = G U_q / 2, qubit q's slot reads G on the
-    state with the step applied, where (G psi)[i] = phase[q, i] * psi[index[q, i]].
+    that follows them. The step applies slice `row` of _Compiled.factors;
+    their plain transposes undo it on the conjugate cotangent. Since
+    dU_q/dtheta = G U_q / 2, qubit q's slot (slot_of_qubit[row, q]) reads G on
+    the state with the step applied, where (G psi)[i] = phase[q, i] * psi[index[q, i]].
     A qubit the step does not rotate has slot -1 and phase 0.
     """
 
     row: int
-    slots: np.ndarray  # (n,)
     index: np.ndarray  # (n, 2^n)
     phase: np.ndarray  # (n, 2^n)
 
     def apply(self, state: np.ndarray, factors) -> np.ndarray:
-        return _turn(state, *(group[:, self.row] for group in factors))
+        return _turn(state, [block[self.row] for block in factors])
 
     undo = apply
 
-    def gradient(self, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Re(lambda^dag G_q phi) = d L / d theta per qubit's slot, with the step applied."""
-        return np.einsum("bki,ki,bi->bk", phi[:, self.index], self.phase, lam.conj()).real
+    def gradient(self, phi: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Re(mu^T G_q phi) = Re(lambda^dag G_q phi) = d L / d theta per qubit's
+        slot, for mu = conj(lambda) and phi with the step applied."""
+        return np.einsum("bki,ki,bi->bk", phi[:, self.index], self.phase, mu).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,14 +257,14 @@ class _Compiled:
     slot_of_qubit: np.ndarray  # (R, n)
     fixed_t: np.ndarray  # (R, n, 2, 2): each C transposed
     turned_t: np.ndarray  # (R, n, 2, 2): each G C transposed; float64 like fixed_t when real
+    tables: tuple  # _block_tables of each C^T and (G C)^T, weighed by cos and sin
 
-    def turns(self, angles: np.ndarray) -> np.ndarray:
-        """Every local step's U^T for a batch of angles, shaped (B, R, n, 2, 2)."""
+    def factors(self, angles: np.ndarray) -> tuple:
+        """Every local step's block factors, the Kronecker products of the
+        block's U^T, for a batch of angles (see _block_factors)."""
         padded = np.concatenate((angles, np.zeros((len(angles), 1))), axis=1)
-        half = padded[:, self.slot_of_qubit] * 0.5
-        return np.cos(half)[..., None, None] * self.fixed_t + np.sin(half)[..., None, None] * (
-            self.turned_t
-        )
+        half = padded.T[self.slot_of_qubit.T] * 0.5  # (n, R, B)
+        return _block_factors(np.stack((np.cos(half), np.sin(half)), axis=1), *self.tables)
 
 
 def _compile(program: GateProgram) -> _Compiled:
@@ -304,9 +322,10 @@ def _compile(program: GateProgram) -> _Compiled:
         if kind == "cnot":
             steps.append(_build_gather(gates, n))
         else:
-            steps.append(_Local(row, slot_of_qubit[row], index[row], phase[row]))
+            steps.append(_Local(row, index[row], phase[row]))
             row += 1
-    return _Compiled(tuple(steps), slot_of_qubit, fixed_t, turned_t)
+    tables = _block_tables(np.stack((fixed_t, turned_t), axis=2))
+    return _Compiled(tuple(steps), slot_of_qubit, fixed_t, turned_t, tables)
 
 
 def _build_gather(gates: list[Gate], n: int) -> _Gather:
@@ -321,7 +340,7 @@ def _build_gather(gates: list[Gate], n: int) -> _Gather:
 
 @dataclass
 class Tape:
-    """What run_batch leaves for adjoint_gradient: the _kron factors of every
+    """What run_batch leaves for adjoint_gradient: the block factors of every
     local step, and the state right after each, in the program's table dtype."""
 
     factors: tuple = ()
@@ -337,7 +356,7 @@ def run_batch(program: GateProgram, angles: np.ndarray, tape: Tape | None = None
             f"expected angles shaped (batch, {program.n_slots}), got {angles.shape}"
         )
     compiled = program.compiled
-    factors = _kron(compiled.turns(angles))
+    factors = compiled.factors(angles)
     state = zero_state(program.n_qubits, angles.shape[0], compiled.fixed_t.dtype)
     if tape is not None:
         tape.factors, tape.states = factors, []
@@ -392,12 +411,12 @@ def adjoint_gradient(
 
     cotangents hold dL/d(conj psi) per row, i.e. dL = 2 Re(lambda^dag d psi), for
     psi = run_batch(program, angles, tape); without a tape this records one.
-    Walks the compiled steps backwards on the cotangent alone, undoing a gather
-    by its inverse permutation and a local step by the conjugate transposes of
-    its taped factors. A rotation R = exp(theta G / 2) contributes
-    Re(lambda^dag G psi), psi the taped state with its local step applied; the
-    turns of one step act on distinct qubits and commute, so every slot of the
-    step reads the same pair. On a real program only Re(lambda) is walked.
+    Walks the steps backwards on mu = conj(lambda) alone, undoing a gather by its
+    inverse permutation and a local step by the plain transposes of its taped
+    factors (conj(U^dag lambda) = U^T mu). A rotation R = exp(theta G / 2)
+    contributes Re(lambda^dag G psi), psi the taped state with its step applied;
+    the turns of one step act on distinct qubits and commute, so every slot of
+    the step reads the same pair. A real program walks only Re(mu) = Re(lambda).
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != program.n_slots:
@@ -409,14 +428,16 @@ def adjoint_gradient(
         tape = Tape()
         run_batch(program, angles, tape)
     compiled = program.compiled
-    lam = lam if compiled.fixed_t.dtype == complex else lam.real
-    factors = tuple(f.conj().swapaxes(-1, -2) for f in tape.factors)
+    mu = lam.conj() if compiled.fixed_t.dtype == complex else lam.real
+    factors = tuple(np.ascontiguousarray(f.swapaxes(-1, -2)) for f in tape.factors)
     states = reversed(tape.states)
-    grads = np.zeros((len(angles), program.n_slots + 1))  # slot -1 takes unrotated qubits
+    columns = [np.zeros((len(angles), 0))]  # per local step, last first
     for step in reversed(compiled.steps):
         if isinstance(step, _Local):
-            grads[:, step.slots] = step.gradient(next(states), lam)
-        lam = step.undo(lam, factors)
+            columns.append(step.gradient(next(states), mu))
+        mu = step.undo(mu, factors)
+    grads = np.zeros((len(angles), program.n_slots + 1))  # slot -1 takes unrotated qubits
+    grads[:, compiled.slot_of_qubit[::-1].ravel()] = np.concatenate(columns, axis=1)
     return grads[:, :-1]
 
 
@@ -443,8 +464,9 @@ def estimate_shots(
     rng = np.random.default_rng(rng_seed)
     total = 0.0 + 0.0j
     for group, basis in zip(grouping.groups, grouping.basis_rotations):
-        turn = np.array([[_MEASURE_T[letter] for letter in basis]])  # (1, n, 2, 2)
-        probs = np.abs(_turn(state[None, :], *_kron(turn))[0]) ** 2
+        turn = np.array([[[_MEASURE_T[letter]] for letter in basis]])  # (1, n, 1, 2, 2)
+        factors = _block_factors(np.ones((len(basis), 1, 1, 1)), *_block_tables(turn))
+        probs = np.abs(_turn(state[None, :], [block[0] for block in factors])[0]) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         nonzero = np.nonzero(counts)[0]

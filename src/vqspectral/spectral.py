@@ -499,7 +499,7 @@ def forward_transform(f_values: np.ndarray, system: SpectralSystem) -> tuple[np.
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Spectral coefficients plus their nodal reconstruction."""
+    """Spectral coefficients plus their nodal reconstruction, one row per instance when stacked."""
 
     coefficients: np.ndarray
     nodal_values: np.ndarray
@@ -507,11 +507,14 @@ class SolutionField:
 
 
 def reconstruct(system: SpectralSystem, coefficients: np.ndarray) -> np.ndarray:
-    """Nodal values of sum_k alpha_k phi_k on the quadrature grid, one axis per direction."""
-    modes = tuple(basis.n_modes for basis in system.bases)
-    tensor = np.asarray(coefficients, dtype=float).reshape(modes, order="F")
-    for phi in system.nodal_bases:
-        tensor = np.tensordot(tensor, phi, axes=(0, 0))
+    """Nodal values of sum_k alpha_k phi_k on the quadrature grid, one axis per
+    direction; coefficients shaped (..., K) keep their leading axes as rows."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    lead = coefficients.shape[:-1]
+    # the first direction runs fastest: row-major over the reversed mode axes
+    tensor = coefficients.reshape(lead + tuple(basis.n_modes for basis in system.bases)[::-1])
+    for axis, phi in enumerate(system.nodal_bases, start=len(lead)):
+        tensor = np.moveaxis(tensor @ phi, -1, axis)
     return tensor
 
 
@@ -540,20 +543,22 @@ def classical_solve(
 
 
 def metrics(pred: SolutionField, truth: SolutionField, system: SpectralSystem | None = None) -> dict:
-    """MAE, relative L2 (quadrature-weighted) and relative L-infinity errors.
+    """MAE, relative L2 (quadrature-weighted) and relative L-infinity errors
+    over the grid axes: one value per row of stacked nodal values.
 
-    None weighs every value by 1 (synthetic systems without a grid).
+    None weighs every value by 1 (synthetic systems without a grid: one axis).
     """
-    diff = np.asarray(pred.nodal_values) - np.asarray(truth.nodal_values)
     ref = np.asarray(truth.nodal_values)
-    w = np.ones_like(ref) if system is None else _weight_grid(system)
-    ref_l2 = np.sqrt(np.sum(w * ref * ref))
-    ref_linf = np.max(np.abs(ref))
-    if ref_l2 == 0.0 or ref_linf == 0.0:
+    diff = np.asarray(pred.nodal_values) - ref
+    w = 1.0 if system is None else _weight_grid(system)
+    grid = tuple(range(-(1 if system is None else system.direction_count), 0))
+    ref_l2 = np.sqrt(np.sum(w * ref * ref, axis=grid))
+    ref_linf = np.max(np.abs(ref), axis=grid)
+    if np.any(ref_l2 == 0.0) or np.any(ref_linf == 0.0):
         raise DivisionGuardError("reference solution has zero norm")
     return {
-        "mae": float(np.mean(np.abs(diff))),
-        "rel_l2": float(np.sqrt(np.sum(w * diff * diff)) / ref_l2),
-        "rel_linf": float(np.max(np.abs(diff)) / ref_linf),
+        "mae": np.mean(np.abs(diff), axis=grid),
+        "rel_l2": np.sqrt(np.sum(w * diff * diff, axis=grid)) / ref_l2,
+        "rel_linf": np.max(np.abs(diff), axis=grid) / ref_linf,
     }
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import anglenet, loss as loss_mod, qsim
 from .errors import ConfigurationError, ContractViolation, DivergenceError, VqSpectralError
-from .spectral import SpectralSystem, classical_solve, forward_transform, metrics
+from .spectral import SolutionField, SpectralSystem, classical_solve, forward_transform, metrics
 
 __all__ = [
     "DatasetSpec",
@@ -408,13 +408,12 @@ def evaluate_split(ctx, program, net, features, truths, objective):
         # intermediate states legitimately carry phase residue; only final
         # recoveries should warn
         warnings.simplefilter("ignore")
-        found = [
-            metrics(loss_mod.recover_solution(states[i], ctx, i), truth, ctx.system)
-            for i, truth in enumerate(truths)
-        ]
+        recovered = loss_mod.recover_solution(states, ctx)
+    truth = SolutionField(None, np.array([t.nodal_values for t in truths]))
+    found = metrics(recovered, truth, ctx.system)
     for key in ("rel_l2", "rel_linf", "mae"):
-        out[f"per_instance_{key}"] = [m[key] for m in found]
-        out[key] = float(np.mean(out[f"per_instance_{key}"]))
+        out[f"per_instance_{key}"] = found[key].tolist()
+        out[key] = float(np.mean(found[key]))
     return out
 
 

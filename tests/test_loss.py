@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -407,9 +409,9 @@ def test_grad_total_runs_the_circuit_once(program, rng, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(qsim, "run_batch", counting(qsim.run_batch))
-    monkeypatch.setattr(qsim._Compiled, "turns", counting(qsim._Compiled.turns))
+    monkeypatch.setattr(qsim._Compiled, "factors", counting(qsim._Compiled.factors))
     ls.grad_total(ctx, program, net, feats)
-    assert sorted(calls) == ["run_batch", "turns"]
+    assert sorted(calls) == ["factors", "run_batch"]
 
 
 @pytest.mark.parametrize("objective", ["unnormalized", "normalized", "vqls"])
@@ -523,6 +525,31 @@ def test_recover_warns_on_phase_residue():
     state[1] = 1e-2j
     with pytest.warns(PhaseContaminationWarning):
         ls.recover_solution(state, ctx, 0)
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["fixed", "joint"])
+def test_stacked_recovery_matches_single_rows(joint, rng):
+    if joint:
+        ctx = joint_context(rng, instances=4)
+    else:
+        system = sp.assemble_system("helm1d", {"k_squared": 4.0}, BC_D, 8)
+        ctx = ls.context_for_system(system, rng.standard_normal((4, 8)))
+    states = rng.standard_normal((4, 8)).astype(complex)
+    states[2] += 1e-3j * rng.standard_normal(8)  # only instance 2 carries a phase residue
+    with pytest.warns(PhaseContaminationWarning, match="instance 2:") as caught:
+        stacked = ls.recover_solution(states, ctx)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        singles = [ls.recover_solution(state, ctx, i) for i, state in enumerate(states)]
+    assert stacked.nodal_values.shape == (4,) + singles[0].nodal_values.shape
+    for i, single in enumerate(singles):
+        scale = max(1.0, np.abs(single.nodal_values).max())
+        assert np.abs(stacked.coefficients[i] - single.coefficients).max() <= 1e-14 * scale
+        assert np.abs(stacked.nodal_values[i] - single.nodal_values).max() <= 1e-14 * scale
+        assert stacked.scale[i] == pytest.approx(single.scale, rel=1e-15)
+    with pytest.raises(ContractViolation):
+        ls.recover_solution(states[:3], ctx)
 
 
 def test_imag_overlap_diagnostic(rng):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,6 +380,58 @@ def test_taped_and_untaped_adjoint_agree_bitwise(build, rng):
     cotangents = rng.standard_normal(states.shape) + 1j * rng.standard_normal(states.shape)
     taped = qsim.adjoint_gradient(program, angles, cotangents, tape)
     assert np.array_equal(taped, qsim.adjoint_gradient(program, angles, cotangents))
+
+
+def _turns_t(compiled, angles):
+    """Every local step's per-qubit U^T, shaped (B, R, n, 2, 2), from the per-qubit tables."""
+    padded = np.concatenate((angles, np.zeros((len(angles), 1))), axis=1)
+    half = padded[:, compiled.slot_of_qubit, None, None] / 2
+    return np.cos(half) * compiled.fixed_t + np.sin(half) * compiled.turned_t
+
+
+@pytest.mark.parametrize(
+    "kinds", [("ry", "h", "cnot"), ("ry", "rz", "h", "cnot")], ids=["real", "complex"]
+)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_factors_are_kronecker_products_of_the_qubit_turns(n, kinds, rng):
+    for _ in range(4):
+        program = random_program(n, rng, max_gates=3 * n + 6, kinds=kinds)
+        compiled = program.compiled
+        angles = rng.uniform(0, 4 * np.pi, (3, program.n_slots))
+        blocks = compiled.factors(angles)
+        turns = _turns_t(compiled, angles)
+        widths = [4] * (n // 2) + [2] * (n % 2)
+        steps = len(compiled.fixed_t)
+        assert [block.shape for block in blocks] == [(steps, 3, w, w) for w in widths]
+        for b in range(3):
+            for r in range(steps):
+                pairs = [np.kron(turns[b, r, q], turns[b, r, q + 1]) for q in range(0, n - 1, 2)]
+                expected = pairs + [turns[b, r, n - 1]] * (n % 2)
+                for block, want in zip(blocks, expected):
+                    assert np.abs(block[r, b] - want).max() <= 1e-15
+                # the kernel turns a state as the full Kronecker product of the qubits' U does
+                state = rng.standard_normal((2, 1 << n)) + 1j * rng.standard_normal((2, 1 << n))
+                full = functools.reduce(np.kron, turns[b, r]).T
+                factors = [block[r, b : b + 1].repeat(2, axis=0) for block in blocks]
+                turned = qsim._turn(state, factors)
+                assert np.abs(turned - state @ full.T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_empty_batches_and_rotation_free_programs_keep_their_shapes(n, rng):
+    program = random_program(n, rng, max_gates=12)
+    empty = np.zeros((0, program.n_slots))
+    tape = qsim.Tape()
+    assert qsim.run_batch(program, empty, tape).shape == (0, 1 << n)
+    gradient = qsim.adjoint_gradient(program, empty, np.zeros((0, 1 << n)), tape)
+    assert gradient.shape == (0, program.n_slots)
+    cnots = qsim.GateProgram(
+        n, tuple(qsim.Gate("cnot", (q + 1) % n, control=q) for q in range(n) if n > 1), 0
+    )
+    assert not any(isinstance(step, qsim._Local) for step in cnots.compiled.steps)
+    states = qsim.run_batch(cnots, np.zeros((3, 0)))
+    assert np.array_equal(states, np.eye(1 << n)[[0] * 3])
+    assert qsim.adjoint_gradient(cnots, np.zeros((3, 0)), states).shape == (3, 0)
 
 
 _random_programs = st.tuples(

@@ -527,6 +527,26 @@ def test_solution_field_roundtrip(rng):
     assert np.abs(nodal - coeffs @ phi).max() <= 1e-10
 
 
+@pytest.mark.parametrize("pde, bc", [("helm1d", BC_D), ("rd2d", BC_2D), ("wave1d", BC_WAVE)])
+def test_stacked_rows_match_single_rows(pde, bc, rng):
+    system = sp.assemble_system(pde, {"k_squared": 4.0, "epsilon": 0.1}, bc, 4)
+    coeffs = rng.standard_normal((3, system.size))
+    truth_coeffs = rng.standard_normal((3, system.size))
+    nodal = sp.reconstruct(system, coeffs)
+    truth = sp.reconstruct(system, truth_coeffs)
+    stacked = sp.metrics(_fields(nodal), _fields(truth), system)
+    for i in range(3):
+        single = sp.reconstruct(system, coeffs[i])
+        assert nodal.shape[1:] == single.shape and np.abs(nodal[i] - single).max() <= 1e-14
+        one = sp.metrics(sp.SolutionField(None, single), sp.SolutionField(None, truth[i]), system)
+        for key, value in one.items():
+            assert stacked[key][i] == pytest.approx(value, rel=1e-14)
+    flat = sp.metrics(_fields(coeffs), _fields(truth_coeffs), None)
+    assert flat["rel_linf"].shape == (3,)
+    gap = np.abs(coeffs[1] - truth_coeffs[1]).max()
+    assert flat["rel_linf"][1] == gap / np.abs(truth_coeffs[1]).max()
+
+
 def test_singular_system_raises():
     system = sp.assemble_system("rd1d", {"epsilon": 0.1}, BC_D, 8)
     bad = dataclasses.replace(system, matrix=np.zeros((8, 8)))

@@ -211,35 +211,58 @@ _HYPER = st.tuples(
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+class AdamPair:
+    """A network stepped by the flat Adam step beside its per-array reference."""
+
+    def __init__(self, widths, seed):
+        layers = tuple(an.Dense(i, o) for i, o in zip(widths, widths[1:]))
+        self.net = an.init(an.NetworkSpec((widths[0],), layers), seed)
+        self.params = [p.copy() for pair in zip(self.net.weights, self.net.biases) for p in pair]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.state = tr.AdamState.for_params(self.net.params)
+
+    def step(self, t, grads, hyper):
+        """Steps both; params, m and v must agree bit for bit, NaN matching NaN."""
+        lr, beta1, beta2, eps = hyper
+        flat_grads = np.concatenate([g.reshape(-1) for g in grads])
+        tr.adam_step(
+            self.state, self.net.params, flat_grads, lr=lr, beta1=beta1, beta2=beta2, eps=eps
+        )
+        reference_adam_step(self.m, self.v, t, self.params, grads, lr, beta1, beta2, eps)
+        assert self.state.t == t
+        pairs = ((self.net.params, self.params), (self.state.m, self.m), (self.state.v, self.v))
+        for flat, arrays in pairs:
+            reference = np.concatenate([a.reshape(-1) for a in arrays])
+            assert np.array_equal(flat, reference, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.lists(st.integers(1, 5), min_size=2, max_size=5), st.integers(1, 4), _HYPER)
 def test_flat_adam_matches_per_array_reference(data, widths, steps, hyper):
-    lr, beta1, beta2, eps = hyper
-    layers = tuple(an.Dense(i, o) for i, o in zip(widths, widths[1:]))
-    spec = an.NetworkSpec((widths[0],), layers)
-    net = an.init(spec, data.draw(st.integers(0, 2**32 - 1)))
-    ref_params = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
-    ref_m = [np.zeros_like(p) for p in ref_params]
-    ref_v = [np.zeros_like(p) for p in ref_params]
-    state = tr.AdamState.for_params(net.params)
+    pair = AdamPair(widths, data.draw(st.integers(0, 2**32 - 1)))
+    net, state = pair.net, pair.state
     for t in range(1, steps + 1):
-        grads = [data.draw(hnp.arrays(float, p.shape, elements=_ENTRIES)) for p in ref_params]
-        flat_grads = np.concatenate([g.reshape(-1) for g in grads])
-        tr.adam_step(state, net.params, flat_grads, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        reference_adam_step(ref_m, ref_v, t, ref_params, grads, lr, beta1, beta2, eps)
-        assert state.t == t
-        flat_ref = np.concatenate([p.reshape(-1) for p in ref_params])
-        assert np.array_equal(net.params, flat_ref, equal_nan=True)
-        assert np.array_equal(state.m, np.concatenate([m.reshape(-1) for m in ref_m]))
-        assert np.array_equal(state.v, np.concatenate([v.reshape(-1) for v in ref_v]))
+        grads = [data.draw(hnp.arrays(float, p.shape, elements=_ENTRIES)) for p in pair.params]
+        pair.step(t, grads, hyper)
     bad = data.draw(st.integers(0, net.params.size - 1))
     grads = np.zeros_like(net.params)
     grads[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     before = net.params.copy()
     with pytest.raises(DivergenceError):
-        tr.adam_step(state, net.params, grads, lr=lr)
+        tr.adam_step(state, net.params, grads, lr=hyper[0])
     assert np.array_equal(net.params, before, equal_nan=True) and state.t == steps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_flat_adam_matches_reference_when_v_turns_nan():
+    # -1e200 squares to inf in v, and beta2 = 0 then scales that inf by 0 into NaN
+    pair = AdamPair([1, 1], 0)
+    hyper = (1.0, 0.0, 0.0, 9.6e-07)
+    pair.step(1, [np.zeros((1, 1)), np.array([-1e200])], hyper)
+    pair.step(2, [np.zeros((1, 1)), np.zeros(1)], hyper)
+    assert np.isnan(pair.state.v).any()
 
 
 # ---------------------------------------------------------------------------
