@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -280,28 +280,16 @@ def backward(
     return grads, delta.reshape(tape.lead + state.spec.input_shape)
 
 
+_LAYER_KINDS = {"dense": Dense, "conv2d": Conv2d}  # checkpoint "kind" -> layer class
+
+
 def save_checkpoint(state: NetworkState, path) -> None:
     """Versioned binary dump of the spec plus all parameters (bit-exact)."""
+    kinds = {cls: kind for kind, cls in _LAYER_KINDS.items()}
     meta = {
         "version": 1,
         "input_shape": list(state.spec.input_shape),
-        "layers": [
-            {
-                "kind": "dense",
-                "in_dim": l.in_dim,
-                "out_dim": l.out_dim,
-                "activation": l.activation,
-            }
-            if isinstance(l, Dense)
-            else {
-                "kind": "conv2d",
-                "in_channels": l.in_channels,
-                "out_channels": l.out_channels,
-                "kernel": l.kernel,
-                "activation": l.activation,
-            }
-            for l in state.spec.layers
-        ],
+        "layers": [{"kind": kinds[type(l)], **asdict(l)} for l in state.spec.layers],
     }
     arrays = {}
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
@@ -317,18 +305,11 @@ def load_checkpoint(path) -> NetworkState:
         if meta.get("version") != 1:
             raise ConfigurationError("unsupported checkpoint version")
         layers = []
-        for entry in meta["layers"]:
-            if entry["kind"] == "dense":
-                layers.append(Dense(entry["in_dim"], entry["out_dim"], entry["activation"]))
-            else:
-                layers.append(
-                    Conv2d(
-                        entry["in_channels"],
-                        entry["out_channels"],
-                        entry["kernel"],
-                        entry["activation"],
-                    )
-                )
+        for fields in meta["layers"]:
+            kind = fields.pop("kind", None)
+            if kind not in _LAYER_KINDS:
+                raise ConfigurationError(f"unknown checkpoint layer kind {kind!r}")
+            layers.append(_LAYER_KINDS[kind](**fields))
         spec = NetworkSpec(input_shape=tuple(meta["input_shape"]), layers=tuple(layers))
         pairs = [(data[f"w{i}"], data[f"b{i}"]) for i in range(len(layers))]
     for i, (layer, (w, b)) in enumerate(zip(layers, pairs)):

@@ -66,6 +66,13 @@ def _write_csv(path: Path, columns, rows) -> None:
             )
 
 
+def _write_results(cfg: ExperimentConfig, out_dir: Path, name: str, columns, rows) -> None:
+    """The resolved config and a verb's result table, written under out_dir."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
+    _write_csv(out_dir / name, columns, rows)
+
+
 def _qubit_count(size: int) -> int:
     n = size.bit_length() - 1
     if (1 << n) != size:
@@ -107,6 +114,14 @@ def _dataset_spec(cfg: ExperimentConfig) -> training.DatasetSpec:
     )
 
 
+def _assemble(cfg: ExperimentConfig, n_train: int, n_test: int):
+    """(system, qubit count, dataset) of an experiment, with the given split sizes."""
+    system = build_system(cfg)
+    n_qubits = _qubit_count(system.size)
+    spec = dataclasses.replace(_dataset_spec(cfg), n_train=n_train, n_test=n_test)
+    return system, n_qubits, training.generate_dataset(spec, system)
+
+
 def _train_config(cfg: ExperimentConfig) -> training.TrainConfig:
     return training.TrainConfig(
         objective=cfg.objective,
@@ -121,26 +136,16 @@ def _train_config(cfg: ExperimentConfig) -> training.TrainConfig:
     )
 
 
-def _feature_input_shape(cfg: ExperimentConfig, split: training.Split):
-    natural = np.asarray(split.features[0])
-    if cfg.conv_channels:  # config._validate admits them only with grid features
-        return (1,) + natural.shape
-    extra = 1 if split.k_values is not None else 0
-    return (int(np.prod(natural.shape)) + extra,)
-
-
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
-    system = build_system(cfg)
-    n_qubits = _qubit_count(system.size)
-    dataset = training.generate_dataset(_dataset_spec(cfg), system)
-    input_shape = _feature_input_shape(cfg, dataset.train)
+    system, n_qubits, dataset = _assemble(cfg, cfg.train_size, cfg.test_size)
+    # config._validate admits conv_channels only with grid features
+    input_shape = training.feature_shape(dataset.train, grid=bool(cfg.conv_channels))
     program = _build_program(cfg, n_qubits)
     net = anglenet.init(_build_network_spec(cfg, input_shape, program.n_slots), cfg.net_seed)
     data = training.TrainData.from_dataset(dataset, system, input_shape)
     record = training.train(_train_config(cfg), data, program, net)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
     training.write_run_record(record, out_dir / "run_record.csv")
     anglenet.save_checkpoint(record.checkpoint_best, out_dir / "checkpoint.bin")
     anglenet.save_checkpoint(record.checkpoint_final, out_dir / "checkpoint_final.bin")
@@ -153,30 +158,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         data.test_truth,
         cfg.objective,
     )
-    def stats(values):
-        if not values:
-            return float("nan"), float("nan")
-        return float(np.mean(values)), float(np.std(values))
-
-    l2_mean, l2_sd = stats(evaluation.get("per_instance_rel_l2", []))
-    linf_mean, linf_sd = stats(evaluation.get("per_instance_rel_linf", []))
-    mae_mean, mae_sd = stats(evaluation.get("per_instance_mae", []))
-    row = (
-        cfg.pde,
-        cfg.boundary,
-        cfg.n_modes,
-        n_qubits,
-        l2_mean,
-        l2_sd,
-        linf_mean,
-        linf_sd,
-        mae_mean,
-        mae_sd,
-    )
-    _write_csv(out_dir / "error_table.csv", ERROR_TABLE_COLUMNS, [row])
+    stats = []  # mean and sd of each per-instance error
+    for key in ("rel_l2", "rel_linf", "mae"):
+        values = evaluation[f"per_instance_{key}"]
+        stats += [float(np.mean(values)), float(np.std(values))] if values else [float("nan")] * 2
+    row = (cfg.pde, cfg.boundary, cfg.n_modes, n_qubits, *stats)
+    _write_results(cfg, out_dir, "error_table.csv", ERROR_TABLE_COLUMNS, [row])
     print(
-        f"{cfg.pde}: mean test rel L2 {l2_mean:.3e} (sd {l2_sd:.3e}), "
-        f"rel Linf {linf_mean:.3e}, mae {mae_mean:.3e}"
+        f"{cfg.pde}: mean test rel L2 {stats[0]:.3e} (sd {stats[1]:.3e}), "
+        f"rel Linf {stats[2]:.3e}, mae {stats[4]:.3e}"
     )
     if record.aborted:
         print(f"training aborted: {record.abort_reason}", file=sys.stderr)
@@ -185,12 +175,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_truncation(cfg: ExperimentConfig, out_dir: Path) -> int:
-    system = build_system(cfg)
-    _qubit_count(system.size)
+    system, _, dataset = _assemble(cfg, n_train=1, n_test=0)
     expansion = pauli.decompose(system.matrix, cfg.pde)
-    dataset = training.generate_dataset(
-        dataclasses.replace(_dataset_spec(cfg), n_train=1, n_test=0), system
-    )
     rhs = dataset.train.raw_targets[0]
     reference = spectral.classical_solve(system, rhs)
     rows = []
@@ -217,9 +203,7 @@ def cmd_truncation(cfg: ExperimentConfig, out_dir: Path) -> int:
                 0,
             )
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
-    _write_csv(out_dir / "truncation.csv", TRUNCATION_COLUMNS, rows)
+    _write_results(cfg, out_dir, "truncation.csv", TRUNCATION_COLUMNS, rows)
     for row in rows:
         print(
             f"threshold {row[0]:g}: {row[1]} terms, rel Frobenius {row[2]:.3e}, "
@@ -249,9 +233,7 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
                 (sub.pde, d, n_modes, system.size, terms_a, groups_a, terms_n, groups_n, terms_a**2)
             )
             expansions.append((f"expansion_{sub.pde}_d{d}_n{n_modes}.txt", expansion))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
-    _write_csv(out_dir / "scaling.csv", SCALING_COLUMNS, rows)
+    _write_results(cfg, out_dir, "scaling.csv", SCALING_COLUMNS, rows)
     for name, expansion in expansions:
         (out_dir / name).write_text(expansion.serialize(), encoding="utf-8")
     for row in rows:
@@ -270,17 +252,13 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
     loss cannot see the sign); the phase-aware objective recovers the correct
     sign for every seed.
     """
-    system = build_system(cfg)
-    n_qubits = _qubit_count(system.size)
-    dataset = training.generate_dataset(
-        training.DatasetSpec(family=cfg.family, n_train=1, n_test=0, seed=cfg.data_seed),
-        system,
-    )
+    system, n_qubits, dataset = _assemble(cfg, n_train=1, n_test=0)
     truth = dataset.train.truth[0]
     alpha_unit = truth.coefficients / np.linalg.norm(truth.coefficients)
     program = _build_program(cfg, n_qubits)
-    input_shape = _feature_input_shape(dataclasses.replace(cfg, conv_channels=()), dataset.train)
-    data = training.TrainData.from_dataset(dataset, system, input_shape)
+    data = training.TrainData.from_dataset(
+        dataset, system, training.feature_shape(dataset.train, grid=False)
+    )
     ctx = data.ctx_train
 
     theta_star = _prepare_state_angles(program, -alpha_unit.astype(complex), seed=cfg.net_seed)
@@ -307,9 +285,7 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"seed {seed}: standard overlap {overlap_std:+.4f}, "
             f"phase-aware overlap {overlap_pa:+.4f}"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
-    _write_csv(out_dir / "signflip.csv", SIGNFLIP_COLUMNS, rows)
+    _write_results(cfg, out_dir, "signflip.csv", SIGNFLIP_COLUMNS, rows)
     negative = sum(1 for r in rows if r[1] < 0)
     positive = sum(1 for r in rows if r[2] > 0)
     print(
@@ -358,7 +334,7 @@ def _signflip_arm(cfg, data, program, theta_star, u_ref, seed, objective) -> flo
     psi = qsim.run(program, anglenet.forward(net, data.train_features[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec = loss_mod.recover_solution(psi, data.ctx_train, 0)
+        rec = loss_mod.recover_solution(psi[None, :], data.ctx_train)
     u_hat = rec.nodal_values.reshape(-1)
     u_hat = u_hat / np.linalg.norm(u_hat)
     return float(u_ref @ u_hat)
@@ -385,6 +361,14 @@ def cmd_table(run_dirs, out_dir: Path | None) -> int:
     return 0
 
 
+_VERBS = {  # the verbs that run a config; "table" reads finished runs instead
+    "run": cmd_run,
+    "truncation": cmd_truncation,
+    "scaling": cmd_scaling,
+    "signflip": cmd_signflip,
+}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="sectioned key=value config file")
     sub.add_argument("--out", default="out", help="output directory")
@@ -398,7 +382,7 @@ def main(argv=None) -> int:
         description="Spectral operator learning through simulated variational circuits",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "truncation", "scaling", "signflip"):
+    for name in _VERBS:
         _add_common(subs.add_parser(name))
     subs.choices["truncation"].add_argument(
         "--thresholds", default=None, help="comma list overriding [study] thresholds"
@@ -420,22 +404,13 @@ def main(argv=None) -> int:
         if args.dry_run:
             print(canonical_text(cfg), end="")
             return 0
-        out_dir = Path(args.out)
-        if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        if args.command == "truncation":
-            return cmd_truncation(cfg, out_dir)
-        if args.command == "scaling":
-            return cmd_scaling(cfg, out_dir)
-        if args.command == "signflip":
-            return cmd_signflip(cfg, out_dir)
+        return _VERBS[args.command](cfg, Path(args.out))
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except VqSpectralError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

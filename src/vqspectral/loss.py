@@ -165,8 +165,8 @@ def _check_states(ctx: LossContext, states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _apply(ctx: LossContext, rows: np.ndarray, adjoint: bool = False, instances=slice(None)):
-    """A_i (or A_i^dag) applied to rows[i, ..., :] for the selected instances i."""
+def _apply(ctx: LossContext, rows: np.ndarray, adjoint: bool = False):
+    """A_i (or A_i^dag) applied to rows[i, ..., :] for every instance i."""
 
     def matrix_side(mat):  # rows @ M.T == (M @ row) per row
         return mat.conj() if adjoint else mat.T
@@ -174,7 +174,7 @@ def _apply(ctx: LossContext, rows: np.ndarray, adjoint: bool = False, instances=
     if ctx.k_values is None:
         return rows @ matrix_side(ctx.a_matrix)
     b, c = ctx.parametric_parts
-    k2 = np.square(ctx.k_values[instances]).reshape((-1,) + (1,) * (rows.ndim - 1))
+    k2 = np.square(ctx.k_values).reshape((-1,) + (1,) * (rows.ndim - 1))
     return rows @ matrix_side(b) + k2 * (rows @ matrix_side(c))
 
 
@@ -322,29 +322,23 @@ def imag_overlap_diagnostic(ctx: LossContext, states: np.ndarray) -> np.ndarray:
     return _overlap_beta(ctx, _apply(ctx, states))[0].imag
 
 
-def recover_solution(
-    states: np.ndarray, ctx: LossContext, instance: int | None = None
-) -> SolutionField:
-    """Rescale converged unit states back to physical coefficients.
+def recover_solution(states: np.ndarray, ctx: LossContext) -> SolutionField:
+    """Rescale converged unit states, (D, K) rows of the context's instances,
+    back to physical coefficients.
 
     alpha = Re(psi) * ||F_raw|| / sqrt(beta), so that A alpha reproduces the
-    unnormalized right-hand side at the optimum. Takes one state of the given
-    instance, or (D, K) rows of all the context's instances, and returns
-    fields shaped like them. A non-negligible imaginary residue on a
-    real-solution problem triggers a warning naming the instance, not an error.
+    unnormalized right-hand side at the optimum. A non-negligible imaginary
+    residue on a real-solution problem triggers a warning naming the
+    instance, not an error.
     """
-    single = instance is not None
-    rows = np.asarray(states, dtype=complex)[None, :] if single else _check_states(ctx, states)
-    instances = np.array([instance]) if single else np.arange(ctx.n_instances)
-    applied = _apply(ctx, rows, instances=instances)
+    rows = _check_states(ctx, states)
+    applied = _apply(ctx, rows)
     beta = _guard_beta(np.einsum("ik,ik->i", applied.conj(), applied).real)
     residue = np.linalg.norm(rows.imag, axis=1) / np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
     for i in np.flatnonzero(residue > 1e-6):
-        message = f"instance {instances[i]}: imaginary residue {residue[i]:.3e} in recovered state"
+        message = f"instance {i}: imaginary residue {residue[i]:.3e} in recovered state"
         warnings.warn(message, PhaseContaminationWarning, stacklevel=2)
-    scale = ctx.raw_norms[instances] / np.sqrt(beta)
+    scale = ctx.raw_norms / np.sqrt(beta)
     coeffs = rows.real * scale[:, None]
     nodal = coeffs.copy() if ctx.system is None else reconstruct(ctx.system, coeffs)
-    if single:
-        return SolutionField(coefficients=coeffs[0], nodal_values=nodal[0], scale=float(scale[0]))
     return SolutionField(coefficients=coeffs, nodal_values=nodal, scale=scale)

@@ -25,6 +25,7 @@ __all__ = [
     "Split",
     "Dataset",
     "generate_dataset",
+    "feature_shape",
     "feature_batch",
     "trig_forcing",
     "wave_forcing",
@@ -147,12 +148,19 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
     return Dataset(spec=spec, train=train, test=test, resample_count=resamples)
 
 
-def feature_batch(split: Split, input_shape: tuple[int, ...]) -> np.ndarray:
-    """Adapt a split's stored forcing data to the network input: (D, *input_shape).
+def feature_shape(split: Split, grid: bool) -> tuple[int, ...]:
+    """The network input layout of a split: (1, H, W) per grid instance for a
+    convolutional network, else the flattened samples with k^2 first for joint
+    families."""
+    natural = np.shape(split.features[0])
+    if grid:
+        return (1,) + natural
+    return (int(np.prod(natural)) + (split.k_values is not None),)
 
-    Flat inputs get the flattened samples, with the instance coefficient k^2
-    prepended for joint families; 3-axis inputs reshape each grid to (1, H, W).
-    """
+
+def feature_batch(split: Split, input_shape: tuple[int, ...]) -> np.ndarray:
+    """Adapt a split's stored forcing data to the network input: (D, *input_shape),
+    laid out as feature_shape describes."""
     input_shape = tuple(input_shape)
     if not split.features:
         return np.zeros((0,) + input_shape)
@@ -401,7 +409,10 @@ def _split_loss(ctx, states, objective):
 def evaluate_split(ctx, program, net, features, truths, objective):
     """Loss plus solution-error metrics of one split, features shaped (D, *input_shape)."""
     if len(features) == 0:
-        return {"loss": float("nan"), "rel_l2": float("nan"), "rel_linf": float("nan"), "mae": float("nan")}
+        out = {"loss": float("nan")}
+        for key in ("rel_l2", "rel_linf", "mae"):
+            out[f"per_instance_{key}"], out[key] = [], float("nan")
+        return out
     states = qsim.run_batch(program, anglenet.forward(net, features))
     out = {"loss": _split_loss(ctx, states, objective)}
     with warnings.catch_warnings():

@@ -367,6 +367,34 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(an.forward(net, x), an.forward(loaded, x))
 
 
+def test_checkpoint_meta_layout_pinned(tmp_path):
+    # the layer table writes each layer's kind, then its fields in declaration order
+    path = tmp_path / "checkpoint.bin"
+    an.save_checkpoint(an.init(CONV_SPEC, 9), path)
+    with np.load(path) as data:
+        meta = bytes(data["meta"]).decode()
+    assert meta == (
+        '{"version": 1, "input_shape": [1, 4, 4], "layers": ['
+        '{"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": 3, "activation": "relu"}, '
+        '{"kind": "dense", "in_dim": 32, "out_dim": 6, "activation": "gelu"}, '
+        '{"kind": "dense", "in_dim": 6, "out_dim": 3, "activation": "identity"}]}'
+    )
+
+
+def test_checkpoint_with_unknown_layer_kind_rejected(tmp_path):
+    # any kind but "dense" was read as conv2d and failed with a bare KeyError
+    path = tmp_path / "checkpoint.bin"
+    an.save_checkpoint(an.init(CONV_SPEC, 9), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = bytes(arrays["meta"]).decode().replace('"conv2d"', '"conv3d"')
+    arrays["meta"] = np.frombuffer(meta.encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigurationError, match="'conv3d'"):
+        an.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key", ["w0", "b0", "w1", "b2"])
 def test_checkpoint_with_tampered_shapes_rejected(tmp_path, key):
     spec = an.NetworkSpec(

@@ -865,3 +865,25 @@ def test_bundled_configs_parse():
         cfg = parse_config(path)
         system = build_system(cfg)
         assert system.size >= 4
+
+
+def test_signflip_follows_the_dataset_k_range(tmp_path, monkeypatch):
+    # signflip drew k from the DatasetSpec default range [4, 5) whatever [dataset] said
+    drawn = []
+
+    def recording(spec, system):
+        drawn.append(generate_dataset(spec, system))
+        return drawn[-1]
+
+    generate_dataset = cli.training.generate_dataset
+    monkeypatch.setattr(cli.training, "generate_dataset", recording)
+    cfg = parse_config_text(
+        "[benchmark]\npde = joint_helm\nn_modes = 4\n\n"
+        "[circuit]\nansatz = strongly_entangling\nlayers = 2\n\n"
+        "[dataset]\nfamily = joint_k\ntrain_size = 1\ntest_size = 0\nseed = 2\n"
+        "k_min = 2.0\nk_max = 2.0\n\n"
+        "[train]\nlearning_rate = 0.02\nepochs = 5\nseed = 0\n\n"
+        "[study]\nsignflip_seeds = 1\n"
+    )
+    assert cli.cmd_signflip(cfg, tmp_path / "signflip") == 0
+    assert [d.train.k_values.tolist() for d in drawn] == [[2.0]]

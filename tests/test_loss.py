@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -41,6 +42,15 @@ def instance_matrices(ctx):
         return [ctx.a_matrix] * ctx.n_instances
     b, c = ctx.parametric_parts
     return [b + k * k * c for k in ctx.k_values]
+
+
+def one_instance(ctx, i):
+    """ctx cut down to its instance i, operator and system kept."""
+    rows = slice(i, i + 1)
+    k = None if ctx.k_values is None else ctx.k_values[rows]
+    return dataclasses.replace(
+        ctx, target_states=ctx.target_states[rows], raw_norms=ctx.raw_norms[rows], k_values=k
+    )
 
 
 def instance_contexts(ctx):
@@ -259,8 +269,6 @@ def test_apply_matches_instance_matrices(data):
         assert np.abs(av[i] - mat @ v[i]).max() <= 1e-12
         assert np.abs(adag_w[i] - mat.conj().T @ w[i]).max() <= 1e-12
         assert abs(np.vdot(av[i], w[i]) - np.vdot(v[i], adag_w[i])) <= 1e-12
-        solo = ls._apply(ctx, v[i][None, :], instances=[i])[0]
-        assert np.abs(solo - av[i]).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -490,20 +498,20 @@ def test_feature_count_checked(rng):
 
 def test_recover_scaled_identity():
     ctx = ls.build_loss_context(2 * np.eye(4), np.array([[2.0, 0.0, 0.0, 0.0]]))
-    state = np.zeros(4, dtype=complex)
-    state[0] = 1.0
-    recovered = ls.recover_solution(state, ctx, 0)
-    assert recovered.scale == pytest.approx(1.0)
-    assert np.abs(recovered.coefficients - [1, 0, 0, 0]).max() <= 1e-14
+    states = np.zeros((1, 4), dtype=complex)
+    states[0, 0] = 1.0
+    recovered = ls.recover_solution(states, ctx)
+    assert recovered.scale == pytest.approx([1.0])
+    assert np.abs(recovered.coefficients - [[1, 0, 0, 0]]).max() <= 1e-14
 
 
 def test_recover_pure_rescale():
     raw = np.array([[0.0, 3.0, 0.0, 0.0]])
     ctx = ls.build_loss_context(np.eye(4), raw)
-    state = np.zeros(4, dtype=complex)
-    state[1] = 1.0
-    recovered = ls.recover_solution(state, ctx, 0)
-    assert np.abs(recovered.coefficients - raw[0]).max() <= 1e-14
+    states = np.zeros((1, 4), dtype=complex)
+    states[0, 1] = 1.0
+    recovered = ls.recover_solution(states, ctx)
+    assert np.abs(recovered.coefficients - raw).max() <= 1e-14
 
 
 def test_recover_manufactured_solution(rng):
@@ -513,18 +521,18 @@ def test_recover_manufactured_solution(rng):
     truth = sp.classical_solve(system, rhs)
     ctx = ls.context_for_system(system, rhs[None, :])
     state = (truth.coefficients / np.linalg.norm(truth.coefficients)).astype(complex)
-    recovered = ls.recover_solution(state, ctx, 0)
-    assert np.abs(recovered.coefficients - truth.coefficients).max() <= 1e-10
-    assert np.abs(recovered.nodal_values - truth.nodal_values).max() <= 1e-9
+    recovered = ls.recover_solution(state[None, :], ctx)
+    assert np.abs(recovered.coefficients[0] - truth.coefficients).max() <= 1e-10
+    assert np.abs(recovered.nodal_values[0] - truth.nodal_values).max() <= 1e-9
 
 
 def test_recover_warns_on_phase_residue():
     ctx = identity_context()
-    state = np.zeros(4, dtype=complex)
-    state[0] = np.sqrt(1 - 1e-4)
-    state[1] = 1e-2j
-    with pytest.warns(PhaseContaminationWarning):
-        ls.recover_solution(state, ctx, 0)
+    states = np.zeros((1, 4), dtype=complex)
+    states[0, 0] = np.sqrt(1 - 1e-4)
+    states[0, 1] = 1e-2j
+    with pytest.warns(PhaseContaminationWarning, match="instance 0:"):
+        ls.recover_solution(states, ctx)
 
 
 @pytest.mark.parametrize("joint", [False, True], ids=["fixed", "joint"])
@@ -541,13 +549,15 @@ def test_stacked_recovery_matches_single_rows(joint, rng):
     assert len(caught) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        singles = [ls.recover_solution(state, ctx, i) for i, state in enumerate(states)]
-    assert stacked.nodal_values.shape == (4,) + singles[0].nodal_values.shape
+        singles = [  # each row recovered against a context holding only its instance
+            ls.recover_solution(states[i : i + 1], one_instance(ctx, i)) for i in range(4)
+        ]
+    assert stacked.nodal_values.shape == (4,) + singles[0].nodal_values.shape[1:]
     for i, single in enumerate(singles):
         scale = max(1.0, np.abs(single.nodal_values).max())
-        assert np.abs(stacked.coefficients[i] - single.coefficients).max() <= 1e-14 * scale
-        assert np.abs(stacked.nodal_values[i] - single.nodal_values).max() <= 1e-14 * scale
-        assert stacked.scale[i] == pytest.approx(single.scale, rel=1e-15)
+        assert np.abs(stacked.coefficients[i] - single.coefficients[0]).max() <= 1e-14 * scale
+        assert np.abs(stacked.nodal_values[i] - single.nodal_values[0]).max() <= 1e-14 * scale
+        assert stacked.scale[i] == pytest.approx(single.scale[0], rel=1e-15)
     with pytest.raises(ContractViolation):
         ls.recover_solution(states[:3], ctx)
 

@@ -112,7 +112,8 @@ def test_joint_truth_solve_rejects_singular_operator():
 def test_feature_vector_prepends_k_squared():
     system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, 8)
     dataset = tr.generate_dataset(tr.DatasetSpec("joint_k", 2, 0, seed=7), system)
-    flat = tr.feature_batch(dataset.train, (len(dataset.train.features[0]) + 1,))
+    assert tr.feature_shape(dataset.train, grid=False) == (len(dataset.train.features[0]) + 1,)
+    flat = tr.feature_batch(dataset.train, tr.feature_shape(dataset.train, grid=False))
     assert flat.shape == (2, len(dataset.train.features[0]) + 1)
     assert np.array_equal(flat[:, 0], dataset.train.k_values**2)
     assert np.array_equal(flat[:, 1:], np.array(dataset.train.features))
@@ -122,6 +123,8 @@ def test_feature_batch_grids_and_empty_split():
     system = sp.assemble_system("rd2d", {"epsilon": 0.1}, BC_2D, 4)
     dataset = tr.generate_dataset(tr.DatasetSpec("trig_2d", 3, 0, seed=1), system)
     shape = (1,) + dataset.train.features[0].shape
+    assert tr.feature_shape(dataset.train, grid=True) == shape
+    assert tr.feature_shape(dataset.train, grid=False) == (dataset.train.features[0].size,)
     grids = tr.feature_batch(dataset.train, shape)
     assert grids.shape == (3,) + shape
     assert np.array_equal(grids[:, 0], np.array(dataset.train.features))
@@ -486,6 +489,21 @@ def test_training_path_builds_no_pauli_data(pde, family, monkeypatch):
         data.ctx_test, program, net, data.test_features, data.test_truth, "unnormalized"
     )
     assert np.isfinite(value.total) and np.isfinite(result["rel_l2"])
+
+
+def test_evaluate_empty_split_has_empty_per_instance_lists():
+    system = sp.assemble_system("helm1d", {"k_squared": 4.0}, BC_D, 4)
+    dataset = tr.generate_dataset(tr.DatasetSpec("trig_1d", 1, 0, seed=4), system)
+    program = qsim.build_hardware_efficient_ry(2, 1)
+    shape = tr.feature_shape(dataset.train, grid=False)
+    spec = an.NetworkSpec(shape, (an.Dense(shape[0], program.n_slots),))
+    data = tr.TrainData.from_dataset(dataset, system, shape)
+    result = tr.evaluate_split(
+        data.ctx_test, program, an.init(spec, 0), data.test_features, data.test_truth, "normalized"
+    )
+    for key in ("rel_l2", "rel_linf", "mae"):
+        assert result[f"per_instance_{key}"] == [] and np.isnan(result[key])
+    assert np.isnan(result["loss"])
 
 
 @pytest.mark.parametrize(
