@@ -304,15 +304,20 @@ def load_checkpoint(path) -> NetworkState:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("version") != 1:
             raise ConfigurationError("unsupported checkpoint version")
+        if not {"input_shape", "layers"} <= meta.keys():
+            raise ConfigurationError(f"checkpoint needs input_shape and layers, has {sorted(meta)}")
         layers = []
-        for fields in meta["layers"]:
+        for i, fields in enumerate(meta["layers"]):
             kind = fields.pop("kind", None)
             if kind not in _LAYER_KINDS:
                 raise ConfigurationError(f"unknown checkpoint layer kind {kind!r}")
-            layers.append(_LAYER_KINDS[kind](**fields))
+            try:
+                layers.append(_LAYER_KINDS[kind](**fields))
+            except TypeError as err:  # a missing or unknown field
+                raise ConfigurationError(f"checkpoint layer {i} ({kind}): {err}") from None
         spec = NetworkSpec(input_shape=tuple(meta["input_shape"]), layers=tuple(layers))
-        pairs = [(data[f"w{i}"], data[f"b{i}"]) for i in range(len(layers))]
+        pairs = [(data.get(f"w{i}"), data.get(f"b{i}")) for i in range(len(layers))]
     for i, (layer, (w, b)) in enumerate(zip(layers, pairs)):
-        if (w.shape, b.shape) != _param_shapes(layer):
+        if (np.shape(w), np.shape(b)) != _param_shapes(layer):  # None: the array is missing
             raise ConfigurationError(f"checkpoint arrays w{i}/b{i} do not fit layer {i}: {layer}")
     return NetworkState(spec, flatten(pairs))

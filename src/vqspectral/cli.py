@@ -253,8 +253,8 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
     sign for every seed.
     """
     system, n_qubits, dataset = _assemble(cfg, n_train=1, n_test=0)
-    truth = dataset.train.truth[0]
-    alpha_unit = truth.coefficients / np.linalg.norm(truth.coefficients)
+    truth = dataset.train.truth
+    alpha_unit = truth.coefficients[0] / np.linalg.norm(truth.coefficients[0])
     program = _build_program(cfg, n_qubits)
     data = training.TrainData.from_dataset(
         dataset, system, training.feature_shape(dataset.train, grid=False)
@@ -262,7 +262,7 @@ def cmd_signflip(cfg: ExperimentConfig, out_dir: Path) -> int:
     ctx = data.ctx_train
 
     theta_star = _prepare_state_angles(program, -alpha_unit.astype(complex), seed=cfg.net_seed)
-    u_ref = truth.nodal_values.reshape(-1)
+    u_ref = truth.nodal_values[0].reshape(-1)
     u_ref = u_ref / np.linalg.norm(u_ref)
 
     rows = []

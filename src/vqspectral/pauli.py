@@ -155,11 +155,6 @@ class PauliExpansion:
     def coefficients(self) -> np.ndarray:
         return np.array([c for _, c in self.terms], dtype=complex)
 
-    def max_imag_coefficient(self) -> float:
-        if not self.terms:
-            return 0.0
-        return float(np.max(np.abs(self.coefficients.imag)))
-
     def to_matrix(self) -> np.ndarray:
         """sum_l c_l P_l, scattered in term order so each entry sums as term by term."""
         dim = 1 << self.n_qubits

@@ -518,27 +518,30 @@ def reconstruct(system: SpectralSystem, coefficients: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def classical_solve(
-    system: SpectralSystem, rhs: np.ndarray, k: float | None = None
-) -> SolutionField:
-    """Direct dense solve of the spectral system; the ground-truth oracle.
+def classical_solve(system: SpectralSystem, rhs: np.ndarray, k=None) -> SolutionField:
+    """Direct dense solve of one (K,) row or (D, K) rows; the ground-truth oracle.
 
-    A given k solves a parametric system's instance operator B + k^2 C and
-    checks that operator's conditioning; the fixed operator is checked once
-    per system.
+    Each row gets its own LAPACK solve, so its coefficients do not depend on
+    the other rows. The fixed operator's conditioning is checked once per
+    system; a given k, one per row, solves and checks each B + k_i^2 C.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (system.size,):
-        raise ContractViolation(f"rhs must have length {system.size}")
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != system.size:
+        raise ContractViolation(f"rhs must be (K,) or (D, K) rows with K = {system.size}")
     if k is None:
-        matrix, cond = system.matrix, system.condition
+        matrix, cond = system.matrix, np.array([system.condition])
     else:
+        k = np.asarray(k, dtype=float)
+        if k.shape != rhs.shape[:-1]:
+            raise ContractViolation(f"k shaped {k.shape} for rhs rows {rhs.shape[:-1]}")
         b, c = system.parametric_parts
-        matrix = b + (k * k) * c
-        cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > 1e13:
-        raise SingularSystemError("spectral operator is numerically singular", cond)
-    alpha = np.linalg.solve(matrix, rhs)
+        matrix = b + (k * k)[..., None, None] * c
+        cond = np.linalg.cond(matrix).reshape(-1)
+    if not np.all(cond <= 1e13):
+        row = int(np.argmax(np.where(cond <= 1e13, cond, np.inf)))
+        where = "" if k is None else f" of row {row} (k = {k.reshape(-1)[row]:.6g})"
+        raise SingularSystemError(f"spectral operator{where} is numerically singular", cond[row])
+    alpha = np.linalg.solve(matrix, rhs[..., None])[..., 0]
     return SolutionField(coefficients=alpha, nodal_values=reconstruct(system, alpha))
 
 

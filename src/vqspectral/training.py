@@ -82,10 +82,12 @@ class DatasetSpec:
 
 @dataclass
 class Split:
-    features: list  # natural-shape forcing data per instance
+    """D forcing instances, stacked as rows from the draw to the metrics."""
+
+    features: np.ndarray  # (D, *grid) forcing samples; (D, K) amplitudes for shallow_ry
     raw_targets: np.ndarray  # (D, K) forward transforms before normalization
-    k_values: np.ndarray | None
-    truth: list  # SolutionField per instance (evaluation only)
+    k_values: np.ndarray | None  # (D,) wave numbers of a joint_k split, else None
+    truth: SolutionField  # the stacked oracle solution (evaluation only)
 
 
 @dataclass
@@ -99,33 +101,33 @@ class Dataset:
 def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
     """Sample forcing instances, forward-transform them, and solve for truth.
 
-    Truth solutions never enter the loss; they are stored for evaluation. A
-    forcing draw whose transform has vanishing norm is resampled and counted.
+    Truth solutions never enter the loss; one oracle call per split stores them
+    for evaluation. A draw whose transform has vanishing norm is resampled and counted.
     """
     rng = np.random.default_rng(spec.seed)
     resamples = 0
     mesh = np.meshgrid(*system.grid(), indexing="ij")
+    n = system.size.bit_length() - 1
+    if spec.family == "shallow_ry" and (1 << n) != system.size:
+        raise ConfigurationError("shallow family needs a power-of-two system")
+    if spec.family == "joint_k" and system.parametric_parts is None:
+        raise ConfigurationError("joint_k needs a parametric system")
+    natural = (system.size,) if spec.family == "shallow_ry" else mesh[0].shape
 
-    def draw_batch(count: int) -> Split:
+    def draw_split(count: int) -> Split:
         nonlocal resamples
-        features, rows, ks, truths = [], [], [], []
-        for _ in range(count):
+        features, rows = np.empty((count, *natural)), np.empty((count, system.size))
+        ks = np.empty(count)
+        for i in range(count):
             for _attempt in range(100):
-                k_val = None
+                k_val = np.nan
                 if spec.family == "shallow_ry":
-                    n = system.size.bit_length() - 1
-                    if (1 << n) != system.size:
-                        raise ConfigurationError("shallow family needs a power-of-two system")
-                    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-                    raw = qsim.build_ry_embedding(theta).real.copy()
-                    feat = raw.copy()
+                    feat = raw = qsim.build_ry_embedding(rng.uniform(0.0, 2.0 * np.pi, n)).real
                 elif spec.family == "wave_family":
                     feat = wave_forcing(rng.uniform(1.0, 2.0), *mesh)
                     raw, _ = forward_transform(feat, system)
                 else:  # trig_1d, trig_2d or joint_k; DatasetSpec admits no other family
                     if spec.family == "joint_k":
-                        if system.parametric_parts is None:
-                            raise ConfigurationError("joint_k needs a parametric system")
                         drawn = rng.uniform(spec.k_min, spec.k_max)
                         k_val = float(np.sqrt(drawn)) if spec.k_is_squared else float(drawn)
                     h1, h2, m1, m2 = rng.uniform(0.0, 1.0, 4)
@@ -136,23 +138,19 @@ def generate_dataset(spec: DatasetSpec, system: SpectralSystem) -> Dataset:
                 resamples += 1
             else:
                 raise DivergenceError("could not draw a non-degenerate forcing in 100 tries")
-            features.append(feat)
-            rows.append(raw)
-            ks.append(k_val)
-            truths.append(classical_solve(system, raw, k_val))
-        k_arr = None if ks[0] is None else np.array(ks, dtype=float)
-        return Split(features=features, raw_targets=np.array(rows), k_values=k_arr, truth=truths)
+            features[i], rows[i], ks[i] = feat, raw, k_val
+        k_values = ks if spec.family == "joint_k" else None
+        return Split(features, rows, k_values, classical_solve(system, rows, k_values))
 
-    train = draw_batch(spec.n_train)
-    test = draw_batch(spec.n_test) if spec.n_test else Split([], np.zeros((0, system.size)), None, [])
-    return Dataset(spec=spec, train=train, test=test, resample_count=resamples)
+    train = draw_split(spec.n_train)
+    return Dataset(spec=spec, train=train, test=draw_split(spec.n_test), resample_count=resamples)
 
 
 def feature_shape(split: Split, grid: bool) -> tuple[int, ...]:
     """The network input layout of a split: (1, H, W) per grid instance for a
     convolutional network, else the flattened samples with k^2 first for joint
     families."""
-    natural = np.shape(split.features[0])
+    natural = split.features.shape[1:]
     if grid:
         return (1,) + natural
     return (int(np.prod(natural)) + (split.k_values is not None),)
@@ -162,12 +160,9 @@ def feature_batch(split: Split, input_shape: tuple[int, ...]) -> np.ndarray:
     """Adapt a split's stored forcing data to the network input: (D, *input_shape),
     laid out as feature_shape describes."""
     input_shape = tuple(input_shape)
-    if not split.features:
-        return np.zeros((0,) + input_shape)
-    natural = np.asarray(split.features, dtype=float)
-    d = natural.shape[0]
+    natural = split.features
     if len(input_shape) == 1:
-        batch = natural.reshape(d, -1)
+        batch = natural.reshape(len(natural), int(np.prod(natural.shape[1:])))
         if split.k_values is not None:
             batch = np.concatenate((np.square(split.k_values)[:, None], batch), axis=1)
     elif natural.ndim != 3:
@@ -372,12 +367,14 @@ class RunRecord:
 
 @dataclass
 class TrainData:
+    """Both splits as training reads them, each split's instances stacked as rows."""
+
     ctx_train: loss_mod.LossContext
     ctx_test: loss_mod.LossContext
     train_features: np.ndarray  # (D_train, *input_shape)
     test_features: np.ndarray  # (D_test, *input_shape)
-    train_truth: list
-    test_truth: list
+    train_truth: SolutionField  # stacked oracle solutions
+    test_truth: SolutionField
 
     @staticmethod
     def from_dataset(
@@ -406,8 +403,8 @@ def _split_loss(ctx, states, objective):
     return fn(ctx, states).total
 
 
-def evaluate_split(ctx, program, net, features, truths, objective):
-    """Loss plus solution-error metrics of one split, features shaped (D, *input_shape)."""
+def evaluate_split(ctx, program, net, features, truth, objective):
+    """Loss plus per-row error metrics of one split: (D, *input_shape) features, stacked truth."""
     if len(features) == 0:
         out = {"loss": float("nan")}
         for key in ("rel_l2", "rel_linf", "mae"):
@@ -420,7 +417,6 @@ def evaluate_split(ctx, program, net, features, truths, objective):
         # recoveries should warn
         warnings.simplefilter("ignore")
         recovered = loss_mod.recover_solution(states, ctx)
-    truth = SolutionField(None, np.array([t.nodal_values for t in truths]))
     found = metrics(recovered, truth, ctx.system)
     for key in ("rel_l2", "rel_linf", "mae"):
         out[f"per_instance_{key}"] = found[key].tolist()

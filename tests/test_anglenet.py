@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +394,31 @@ def test_checkpoint_with_unknown_layer_kind_rejected(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ConfigurationError, match="'conv3d'"):
+        an.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda arrays, meta: meta["layers"][1].pop("out_dim"), r"layer 1 \(dense\).*out_dim"),
+        (lambda arrays, meta: meta["layers"][0].update(stride=2), r"layer 0 \(conv2d\).*stride"),
+        (lambda arrays, meta: meta.pop("layers"), "needs input_shape and layers"),
+        (lambda arrays, meta: arrays.pop("b1"), "b1 do not fit layer 1"),
+    ],
+    ids=["missing_field", "unknown_field", "missing_layers", "missing_array"],
+)
+def test_checkpoint_with_malformed_metadata_rejected(tmp_path, edit, match):
+    # each would otherwise surface as a bare TypeError or KeyError
+    path = tmp_path / "checkpoint.bin"
+    an.save_checkpoint(an.init(CONV_SPEC, 9), path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    edit(arrays, meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigurationError, match=match):
         an.load_checkpoint(path)
 
 

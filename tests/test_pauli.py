@@ -98,7 +98,7 @@ def test_reconstruction_random_hermitian(rng):
         mat = mat + mat.T
         expansion = pl.decompose(mat)
         assert np.linalg.norm(expansion.to_matrix() - mat) <= 1e-12
-        assert expansion.max_imag_coefficient() <= 1e-12
+        assert np.abs(expansion.coefficients.imag).max() <= 1e-12
 
 
 def test_reconstruction_random_complex(rng):

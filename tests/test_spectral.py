@@ -555,6 +555,48 @@ def test_singular_system_raises():
             sp.classical_solve(bad, np.ones(8))
 
 
+@functools.cache
+def _row_system(name):
+    pde, bc = {
+        "helm1d": ("helm1d", BC_D),
+        "helm2d": ("helm2d", BC_DN),
+        "joint1d": ("joint_helm", BC_D),
+        "joint2d": ("joint_helm", BC_2D),
+    }[name]
+    return sp.assemble_system(pde, {"k_squared": 4.0}, bc, 8 if bc is BC_D else 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["helm1d", "helm2d", "joint1d", "joint2d"]),
+    st.sampled_from([0, 1, 5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_solve_like_single_rows(name, d, seed):
+    # every row gets its own LAPACK solve, so stacking changes no coefficient bit
+    system = _row_system(name)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((d, system.size))
+    k = rng.uniform(4.0, 5.0, d) if name.startswith("joint") else None
+    rows = sp.classical_solve(system, rhs, k)
+    grid = tuple(quad.nodes.size for quad in system.quads)
+    assert rows.coefficients.shape == (d, system.size)
+    assert rows.nodal_values.shape == (d,) + grid
+    for i in range(d):
+        one = sp.classical_solve(system, rhs[i], None if k is None else k[i])
+        assert np.array_equal(rows.coefficients[i], one.coefficients)
+        scale = np.abs(one.nodal_values).max()
+        assert np.abs(rows.nodal_values[i] - one.nodal_values).max() <= 1e-14 * scale
+
+
+def test_wave_numbers_must_match_the_rows():
+    system = _row_system("joint1d")
+    with pytest.raises(ContractViolation, match="k shaped"):
+        sp.classical_solve(system, np.ones((2, system.size)), np.array([4.0]))
+    with pytest.raises(ContractViolation, match="rhs must be"):
+        sp.classical_solve(system, np.ones((1, 1, system.size)), np.ones((1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 

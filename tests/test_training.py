@@ -76,20 +76,22 @@ def test_shallow_family_targets_are_unit_amplitudes():
 def test_wave_family_truth_solves_the_system():
     system = sp.assemble_system("wave1d", {}, BC_WAVE, 12)
     dataset = tr.generate_dataset(tr.DatasetSpec("wave_family", 2, 0, seed=5), system)
-    for i, truth in enumerate(dataset.train.truth):
-        residual = system.matrix @ truth.coefficients - dataset.train.raw_targets[i]
-        assert np.abs(residual).max() <= 1e-9
+    truth = dataset.train.truth
+    assert truth.coefficients.shape == (2, system.size)
+    residual = truth.coefficients @ system.matrix.T - dataset.train.raw_targets
+    assert np.abs(residual).max() <= 1e-9
 
 
 def test_joint_family_truth_uses_instance_coefficient():
     system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, 8)
     dataset = tr.generate_dataset(tr.DatasetSpec("joint_k", 3, 0, seed=7), system)
     b, c = system.parametric_parts
-    for i in range(3):
-        k = dataset.train.k_values[i]
-        assert 4.0 <= k < 5.0
-        residual = (b + k * k * c) @ dataset.train.truth[i].coefficients - dataset.train.raw_targets[i]
-        assert np.abs(residual).max() <= 1e-10
+    k = dataset.train.k_values
+    assert k.shape == (3,) and np.all((4.0 <= k) & (k < 5.0))
+    operators = b + (k * k)[:, None, None] * c
+    coefficients = dataset.train.truth.coefficients
+    residual = np.einsum("dij,dj->di", operators, coefficients) - dataset.train.raw_targets
+    assert np.abs(residual).max() <= 1e-10
 
 
 def test_joint_family_k_squared_draw():
@@ -105,8 +107,41 @@ def test_joint_truth_solve_rejects_singular_operator():
     eigenvalues = np.linalg.eigvals(-np.linalg.solve(c, b)).real
     k2 = eigenvalues[eigenvalues > 0].min()  # B + k2 C is singular
     spec = tr.DatasetSpec("joint_k", 1, 0, seed=0, k_min=k2, k_max=k2, k_is_squared=True)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match=r"row 0 \(k = "):
         tr.generate_dataset(spec, system)
+    # among solved rows, the error names the singular one and its k
+    rows = np.ones((3, system.size))
+    k = np.array([2.0, np.sqrt(k2), 3.0])
+    with pytest.raises(SingularSystemError, match=rf"row 1 \(k = {k[1]:.6g}\)"):
+        sp.classical_solve(system, rows, k)
+
+
+@pytest.mark.parametrize("pde, family", [("helm1d", "trig_1d"), ("joint_helm", "joint_k")])
+def test_oracle_solves_each_split_in_one_call(pde, family, monkeypatch):
+    system = sp.assemble_system(pde, {"k_squared": 16.0}, BC_D, 8)
+    solve = tr.classical_solve
+    calls = []
+
+    def counting(system, rhs, k=None):
+        calls.append(np.shape(rhs))
+        return solve(system, rhs, k)
+
+    monkeypatch.setattr(tr, "classical_solve", counting)
+    tr.generate_dataset(tr.DatasetSpec(family, 6, 4, seed=2), system)
+    assert calls == [(6, system.size), (4, system.size)]
+
+
+def test_empty_joint_split_keeps_its_row_layout():
+    system = sp.assemble_system("joint_helm", {"k_squared": 16.0}, BC_D, 8)
+    dataset = tr.generate_dataset(tr.DatasetSpec("joint_k", 2, 0, seed=7), system)
+    test, grid = dataset.test, dataset.train.features.shape[1:]
+    assert test.features.shape == (0,) + grid and test.k_values.shape == (0,)
+    assert test.raw_targets.shape == (0, system.size)
+    assert test.truth.coefficients.shape == (0, system.size)
+    assert test.truth.nodal_values.shape == (0,) + grid
+    shape = tr.feature_shape(dataset.train, grid=False)
+    assert tr.feature_shape(test, grid=False) == shape
+    assert tr.feature_batch(test, shape).shape == (0,) + shape
 
 
 def test_feature_vector_prepends_k_squared():
@@ -318,8 +353,8 @@ def test_lbfgs_zero_history_is_line_searched_descent():
 
 def toy_data():
     ctx = ls.build_loss_context(np.eye(2), np.array([[1.0, 0.0]]))
-    truth = [sp.SolutionField(np.array([1.0, 0.0]), np.array([1.0, 0.0]))]
-    feats = [np.array([1.0])]
+    truth = sp.SolutionField(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    feats = np.array([[1.0]])
     return tr.TrainData(
         ctx_train=ctx,
         ctx_test=ctx,
@@ -385,9 +420,7 @@ def test_training_unsupervised_contract():
     config = tr.TrainConfig(objective="normalized", epochs=60, learning_rate=0.01, eval_every=60)
     data_clean = toy_data()
     data_dirty = toy_data()
-    data_dirty.train_truth = [
-        sp.SolutionField(np.array([9.0, -9.0]), np.array([9.0, -9.0]))
-    ]
+    data_dirty.train_truth = sp.SolutionField(np.array([[9.0, -9.0]]), np.array([[9.0, -9.0]]))
     data_dirty.test_truth = data_clean.test_truth
     rec_clean = tr.train(config, data_clean, toy_program(), toy_net(5))
     rec_dirty = tr.train(config, data_dirty, toy_program(), toy_net(5))
@@ -543,7 +576,7 @@ def test_joint_truth_solves_share_the_basis_tables(monkeypatch):
 
     monkeypatch.setattr(sp.CompactBasis, "eval_matrix", counting)
     dataset = tr.generate_dataset(tr.DatasetSpec("joint_k", 20, 50, seed=3), system)
-    assert len(dataset.test.truth) == 50
+    assert dataset.test.truth.coefficients.shape == (50, system.size)
     assert len(calls) == system.direction_count
 
 
@@ -558,7 +591,7 @@ def test_fixed_operator_conditioning_checked_once_per_system(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cond", counting)
     dataset = tr.generate_dataset(tr.DatasetSpec("trig_1d", 20, 50, seed=11), system)
-    assert len(dataset.test.truth) == 50
+    assert dataset.test.truth.coefficients.shape == (50, system.size)
     assert len(calls) == 1
 
 
