@@ -17,10 +17,6 @@ class NumericError(VqSpectralError):
     """An iterative numeric procedure failed to converge."""
 
 
-class BasisConstructionError(VqSpectralError):
-    """The endpoint-condition system for a basis function is singular."""
-
-
 class SingularSystemError(VqSpectralError):
     """The assembled operator is numerically rank deficient."""
 
@@ -38,7 +34,7 @@ class TruncationDegenerateError(VqSpectralError):
 
 
 class DegenerateDenominatorError(VqSpectralError):
-    """The loss denominator radicand fell below tolerance."""
+    """The loss denominator radicand fell below tolerance or is not finite."""
 
 
 class DivergenceError(VqSpectralError):

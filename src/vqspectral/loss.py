@@ -186,6 +186,8 @@ def _overlap_beta(ctx: LossContext, applied: np.ndarray):
 
 
 def _guard_beta(beta: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(beta)):
+        raise DegenerateDenominatorError("denominator radicand is not finite")
     if np.any(beta <= _BETA_TOL):
         raise DegenerateDenominatorError(
             f"denominator radicand fell to {beta.min():.3e}; A|psi> is vanishing"

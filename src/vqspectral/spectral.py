@@ -1,6 +1,7 @@
 """Legendre-Galerkin spectral core.
 
-Builds compact Legendre bases that satisfy boundary conditions exactly,
+Builds compact Legendre bases in closed form for Dirichlet, Neumann and
+initial-value directions, so each satisfies its boundary conditions exactly;
 Legendre-Gauss-Lobatto quadrature, the stiffness/mass/convection matrices,
 forward transforms of forcing data, direct classical solves (the ground-truth
 oracle), and the error metrics used to score predictions.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisConstructionError,
     ConfigurationError,
     ContractViolation,
     DivisionGuardError,
@@ -29,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "EndpointCondition",
     "DirectionBC",
     "BoundarySpec",
     "CompactBasis",
@@ -86,15 +85,6 @@ def legendre_eval(degree: int, x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def _legendre_endpoint(degree: int, sign: int) -> tuple[float, float]:
-    # L_k(+-1) = (+-1)^k, L_k'(+-1) = (+-1)^(k-1) k(k+1)/2
-    val = 1.0 if (sign > 0 or degree % 2 == 0) else -1.0
-    der = degree * (degree + 1) / 2.0
-    if sign < 0 and degree % 2 == 0:
-        der = -der
-    return val, der
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -142,50 +132,26 @@ def lgl_rule(order: int) -> QuadratureRule:
 
 
 @dataclass(frozen=True)
-class EndpointCondition:
-    """Homogeneous endpoint constraint alpha*phi(x0) + beta*phi'(x0) = 0."""
-
-    endpoint: float  # -1.0 or +1.0
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class DirectionBC:
-    """Two endpoint constraints pinning one spatial/temporal direction."""
+    """The boundary kind of one spatial/temporal direction.
 
-    kind: str  # dirichlet | neumann | mixed | initial_value
-    conditions: tuple[EndpointCondition, EndpointCondition]
+    dirichlet pins phi(+-1) = 0, neumann phi'(+-1) = 0, and initial_value
+    phi(-1) = phi'(-1) = 0 (the temporal direction of the wave problem).
+    """
+
+    kind: str  # dirichlet | neumann | initial_value
 
     @staticmethod
     def dirichlet() -> "DirectionBC":
-        return DirectionBC(
-            "dirichlet",
-            (EndpointCondition(-1.0, 1.0, 0.0), EndpointCondition(1.0, 1.0, 0.0)),
-        )
+        return DirectionBC("dirichlet")
 
     @staticmethod
     def neumann() -> "DirectionBC":
-        return DirectionBC(
-            "neumann",
-            (EndpointCondition(-1.0, 0.0, 1.0), EndpointCondition(1.0, 0.0, 1.0)),
-        )
-
-    @staticmethod
-    def mixed(left: tuple[float, float], right: tuple[float, float]) -> "DirectionBC":
-        return DirectionBC(
-            "mixed",
-            (EndpointCondition(-1.0, *left), EndpointCondition(1.0, *right)),
-        )
+        return DirectionBC("neumann")
 
     @staticmethod
     def initial_value() -> "DirectionBC":
-        # Both constraints sit at the left endpoint: phi(-1) = phi'(-1) = 0.
-        # Used only for the temporal direction of the wave problem.
-        return DirectionBC(
-            "initial_value",
-            (EndpointCondition(-1.0, 1.0, 0.0), EndpointCondition(-1.0, 0.0, 1.0)),
-        )
+        return DirectionBC("initial_value")
 
 
 @dataclass(frozen=True)
@@ -226,57 +192,26 @@ class CompactBasis:
         out = tab[:n] + self.a[:, None] * tab[1 : n + 1] + self.b[:, None] * tab[2 : n + 2]
         return out
 
-    def endpoint_residuals(self) -> np.ndarray:
-        """Max |condition residual| per mode; exact bases stay below 1e-12."""
-        res = np.zeros(self.n_modes)
-        for cond in self.bc.conditions:
-            row = np.zeros(self.n_modes)
-            for k in range(self.n_modes):
-                acc = 0.0
-                for coef, deg in ((1.0, k), (self.a[k], k + 1), (self.b[k], k + 2)):
-                    val, der = _legendre_endpoint(deg, 1 if cond.endpoint > 0 else -1)
-                    acc += coef * (cond.alpha * val + cond.beta * der)
-                row[k] = acc
-            res = np.maximum(res, np.abs(row))
-        return res
-
 
 def basis_coeffs(bc: DirectionBC, n_modes: int) -> CompactBasis:
-    """Solve the per-mode 2x2 endpoint system for (a_k, b_k).
+    """Closed-form (a_k, b_k) of the compact basis for one boundary kind
+    (Shen, SIAM J. Sci. Comput. 15(6), 1994).
 
-    Dirichlet and Neumann use their closed forms (a_k = 0 with b_k = -1 and
-    b_k = -k(k+1)/((k+2)(k+3)) respectively); other condition pairs go through
-    the explicit 2x2 solve.
+    dirichlet: a_k = 0, b_k = -1. neumann: a_k = 0, b_k = -k(k+1)/((k+2)(k+3)).
+    initial_value: a_k = (2k+3)/(k+2), b_k = (k+1)/(k+2), from L_k(-1) = (-1)^k
+    and L_k'(-1) = (-1)^(k-1) k(k+1)/2.
     """
     if n_modes < 2:
         raise ContractViolation("a compact basis needs at least 2 modes")
     k = np.arange(n_modes, dtype=float)
     if bc.kind == "dirichlet":
-        a = np.zeros(n_modes)
-        b = -np.ones(n_modes)
+        a, b = np.zeros(n_modes), -np.ones(n_modes)
     elif bc.kind == "neumann":
-        a = np.zeros(n_modes)
-        b = -(k * (k + 1.0)) / ((k + 2.0) * (k + 3.0))
+        a, b = np.zeros(n_modes), -(k * (k + 1.0)) / ((k + 2.0) * (k + 3.0))
+    elif bc.kind == "initial_value":
+        a, b = (2.0 * k + 3.0) / (k + 2.0), (k + 1.0) / (k + 2.0)
     else:
-        a = np.zeros(n_modes)
-        b = np.zeros(n_modes)
-        for kk in range(n_modes):
-            mat = np.zeros((2, 2))
-            rhs = np.zeros(2)
-            for i, cond in enumerate(bc.conditions):
-                sign = 1 if cond.endpoint > 0 else -1
-                for j, deg in enumerate((kk + 1, kk + 2)):
-                    val, der = _legendre_endpoint(deg, sign)
-                    mat[i, j] = cond.alpha * val + cond.beta * der
-                val, der = _legendre_endpoint(kk, sign)
-                rhs[i] = -(cond.alpha * val + cond.beta * der)
-            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            if abs(det) < 1e-12:
-                raise BasisConstructionError(
-                    f"degenerate endpoint conditions for mode {kk} ({bc.kind})"
-                )
-            sol = np.linalg.solve(mat, rhs)
-            a[kk], b[kk] = sol
+        raise ContractViolation(f"unknown boundary kind {bc.kind!r}")
     return CompactBasis(n_modes=n_modes, a=a, b=b, bc=bc)
 
 

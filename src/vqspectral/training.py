@@ -437,10 +437,10 @@ def train(
 ) -> RunRecord:
     """Full-batch training with periodic evaluation against the oracle.
 
-    Checkpoints the network at the best test relative-L2 error. A step that
-    fails with a package error (the loss diverging past 1e6 or turning
-    non-finite, a degenerate denominator, ...) ends the run with a partial
-    record; a ConfigurationError propagates.
+    Checkpoints the network at the best test relative-L2 error. A step or an
+    evaluation that fails with a package error (the loss diverging past 1e6
+    or turning non-finite, a degenerate denominator, a zero-norm truth, ...)
+    ends the run with a partial record; a ConfigurationError propagates.
     """
     start = time.perf_counter()
     rows: list[EpochRow] = []
@@ -515,19 +515,25 @@ def train(
                 eps=config.epsilon,
             )
 
-    for epoch in range(1, config.epochs + 1):
+    def attempt(epoch: int, action, *args) -> bool:
+        # a package error ends the run with its partial record; the first one names the abort
+        nonlocal aborted, reason
         try:
-            step()
+            action(*args)
         except ConfigurationError:
             raise
         except VqSpectralError as err:
-            aborted, reason = True, f"{err} at epoch {epoch}"
+            aborted, reason = True, reason or f"{err} at epoch {epoch}"
+            return False
+        return True
+
+    for epoch in range(1, config.epochs + 1):
+        due = epoch % config.eval_every == 0 or epoch == config.epochs
+        if not attempt(epoch, step) or (due and not attempt(epoch, record, epoch)):
             break
-        if epoch % config.eval_every == 0 or epoch == config.epochs:
-            record(epoch)
 
     if not rows:
-        record(0)
+        attempt(0, record, 0)
     return RunRecord(
         rows=rows,
         best_epoch=best[1],

@@ -612,6 +612,22 @@ def test_failed_run_keeps_record_and_exits_one(tmp_path, monkeypatch, capsys):
     assert "injected vanishing denominator at epoch 3" in capsys.readouterr().err
 
 
+def test_failed_evaluation_keeps_record_and_warns_nothing(tmp_path, recwarn, capsys):
+    # epsilon = 1e300 overflows beta = ||A psi||^2 at the first step, and the
+    # truth's nodal values square to zero, so every evaluation fails as well
+    text = MINI_RUN_CFG.replace("pde = helm1d", "pde = rd1d").replace("k_squared = 4.0", "epsilon = 1e300")
+    text = text.replace("n_modes = 8", "n_modes = 4").replace("family = trig_1d", "family = shallow_ry")
+    text = text.replace("objective = normalized", "objective = unnormalized")
+    text = text.replace("train_size = 3", "train_size = 2").replace("test_size = 3", "test_size = 1")
+    text = text.replace("epochs = 120", "epochs = 2").replace("eval_every = 60", "eval_every = 1")
+    out_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)]) == 1
+    for name in ("run_record.csv", "checkpoint.bin", "checkpoint_final.bin"):
+        assert (out_dir / name).exists()
+    assert "not finite" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_conv_network_on_flat_features_exits_two(tmp_path, capsys):
     text = MINI_RUN_CFG.replace("hidden = 24\n", "hidden = 24\nconv_channels = 2\n")
     cfg_path = write_cfg(tmp_path, text)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vqspectral import spectral as sp
 from vqspectral.errors import (
-    BasisConstructionError,
     ConfigurationError,
     ContractViolation,
     DivisionGuardError,
@@ -104,17 +103,18 @@ def test_neumann_closed_form():
 
 def test_initial_value_solves_endpoint_system():
     # oracle: solve the 2x2 endpoint system directly from Legendre endpoint data
-    basis = sp.basis_coeffs(sp.DirectionBC.initial_value(), 6)
-    for k in range(6):
-        val = lambda deg: (-1.0) ** deg  # noqa: E731  L_deg(-1)
-        der = lambda deg: (-1.0) ** (deg - 1) * deg * (deg + 1) / 2  # noqa: E731
-        mat = np.array([[val(k + 1), val(k + 2)], [der(k + 1), der(k + 2)]])
-        rhs = -np.array([val(k), der(k)])
-        a_k, b_k = np.linalg.solve(mat, rhs)
-        assert basis.a[k] == pytest.approx(a_k, abs=1e-13)
-        assert basis.b[k] == pytest.approx(b_k, abs=1e-13)
-    assert basis.a[0] == pytest.approx(1.5, abs=1e-14)
-    assert basis.b[0] == pytest.approx(0.5, abs=1e-14)
+    val = lambda deg: (-1.0) ** deg  # noqa: E731  L_deg(-1)
+    der = lambda deg: (-1.0) ** (deg - 1) * deg * (deg + 1) / 2  # noqa: E731
+    for n_modes in (2, 12, 64):
+        basis = sp.basis_coeffs(sp.DirectionBC.initial_value(), n_modes)
+        for k in range(n_modes):
+            mat = np.array([[val(k + 1), val(k + 2)], [der(k + 1), der(k + 2)]])
+            rhs = -np.array([val(k), der(k)])
+            a_k, b_k = np.linalg.solve(mat, rhs)
+            assert basis.a[k] == pytest.approx(a_k, abs=1e-13)
+            assert basis.b[k] == pytest.approx(b_k, abs=1e-13)
+        assert basis.a[0] == pytest.approx(1.5, abs=1e-14)
+        assert basis.b[0] == pytest.approx(0.5, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -123,17 +123,27 @@ def test_initial_value_solves_endpoint_system():
         sp.DirectionBC.dirichlet(),
         sp.DirectionBC.neumann(),
         sp.DirectionBC.initial_value(),
-        sp.DirectionBC.mixed((1.0, 1.0), (1.0, -0.5)),
     ],
 )
 def test_endpoint_residuals_vanish(bc):
-    basis = sp.basis_coeffs(bc, 12)
-    assert basis.endpoint_residuals().max() <= 1e-12
+    # each kind's conditions read straight off the basis at the endpoints,
+    # relative to the largest endpoint derivative of the Legendre terms it sums
+    ends = np.array([-1.0, 1.0])
+    for n_modes in (2, 12, 64):
+        basis = sp.basis_coeffs(bc, n_modes)
+        vals, ders = basis.eval_matrix(ends), basis.eval_matrix(ends, derivative=1)
+        residuals = {
+            "dirichlet": vals,
+            "neumann": ders,
+            "initial_value": np.stack((vals[:, 0], ders[:, 0])),
+        }[bc.kind]
+        scale = np.abs(sp.legendre_table(n_modes + 1, ends)[1]).max()
+        assert np.abs(residuals).max() <= 1e-12 * scale
 
 
-def test_degenerate_mixed_condition_rejected():
-    with pytest.raises(BasisConstructionError):
-        sp.basis_coeffs(sp.DirectionBC.mixed((0.0, 0.0), (1.0, 0.0)), 4)
+def test_unknown_boundary_kind_rejected():
+    with pytest.raises(ContractViolation, match="robin"):
+        sp.basis_coeffs(sp.DirectionBC("robin"), 4)
 
 
 def test_basis_needs_two_modes():

@@ -15,6 +15,7 @@ from vqspectral.errors import (
     ContractViolation,
     DegenerateDenominatorError,
     DivergenceError,
+    DivisionGuardError,
     SingularSystemError,
 )
 
@@ -54,6 +55,36 @@ def test_dataset_deterministic():
     assert np.array_equal(d1.train.raw_targets, d2.train.raw_targets)
     assert np.array_equal(d1.test.raw_targets, d2.test.raw_targets)
     assert d1.resample_count == d2.resample_count
+
+
+def vanish_draws(monkeypatch, count):
+    """Make the first `count` forward transforms of generate_dataset return zeros."""
+    real, calls = tr.forward_transform, []
+
+    def transform(f_values, system):
+        calls.append(None)
+        coeffs, norm = real(f_values, system)
+        return (np.zeros_like(coeffs), 0.0) if len(calls) <= count else (coeffs, norm)
+
+    monkeypatch.setattr(tr, "forward_transform", transform)
+
+
+def test_vanishing_draw_is_resampled(monkeypatch):
+    system = helm_system()
+    reference = tr.generate_dataset(tr.DatasetSpec("trig_1d", 4, 0, seed=9), system)
+    vanish_draws(monkeypatch, 1)
+    dataset = tr.generate_dataset(tr.DatasetSpec("trig_1d", 3, 2, seed=9), system)
+    assert dataset.resample_count == 1
+    for split in (dataset.train, dataset.test):
+        assert np.all(np.linalg.norm(split.raw_targets, axis=1) > 0)
+    # the vanished draw spent its numbers; the next one takes its place
+    assert np.array_equal(dataset.train.raw_targets, reference.train.raw_targets[1:])
+
+
+def test_every_draw_vanishing_diverges(monkeypatch):
+    vanish_draws(monkeypatch, np.inf)
+    with pytest.raises(DivergenceError, match="100 tries"):
+        tr.generate_dataset(tr.DatasetSpec("trig_1d", 3, 2, seed=9), helm_system())
 
 
 def test_dataset_seeds_differ():
@@ -448,6 +479,22 @@ def test_failed_step_keeps_partial_record(optimizer, call, monkeypatch):
     record = tr.train(config, toy_data(), toy_program(), toy_net())
     assert record.aborted and "injected" in record.abort_reason
     assert record.rows  # the evaluations before the failure, or the epoch-0 row
+
+
+def test_failed_evaluation_keeps_partial_record(monkeypatch):
+    real, calls = tr.evaluate_split, []
+
+    def evaluate(*args):
+        calls.append(None)
+        if len(calls) > 2:  # each record evaluates the train and the test split
+            raise DivisionGuardError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(tr, "evaluate_split", evaluate)
+    config = tr.TrainConfig(epochs=10, learning_rate=0.01, eval_every=2)
+    record = tr.train(config, toy_data(), toy_program(), toy_net())
+    assert record.aborted and record.abort_reason == "injected at epoch 4"
+    assert [row.epoch for row in record.rows] == [2]
 
 
 def test_configuration_error_escapes_training(monkeypatch):
