@@ -56,21 +56,11 @@ TRUNCATION_COLUMNS = (
 SIGNFLIP_COLUMNS = ("seed", "overlap_standard", "overlap_phase_aware", "identity_residual")
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
-            )
-
-
 def _write_results(cfg: ExperimentConfig, out_dir: Path, name: str, columns, rows) -> None:
     """The resolved config and a verb's result table, written under out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.txt").write_text(canonical_text(cfg), encoding="utf-8")
-    _write_csv(out_dir / name, columns, rows)
+    training.write_csv(out_dir / name, columns, rows)
 
 
 def _qubit_count(size: int) -> int:
@@ -149,18 +139,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     training.write_run_record(record, out_dir / "run_record.csv")
     anglenet.save_checkpoint(record.checkpoint_best, out_dir / "checkpoint.bin")
     anglenet.save_checkpoint(record.checkpoint_final, out_dir / "checkpoint_final.bin")
-
-    evaluation = training.evaluate_split(
-        data.ctx_test,
-        program,
-        record.checkpoint_best,
-        data.test_features,
-        data.test_truth,
-        cfg.objective,
-    )
-    stats = []  # mean and sd of each per-instance error
+    evaluation = record.best_evaluation or {}  # None when no evaluation succeeded
+    stats = []  # mean and sd of each per-instance error of the best checkpoint
     for key in ("rel_l2", "rel_linf", "mae"):
-        values = evaluation[f"per_instance_{key}"]
+        values = evaluation.get(f"per_instance_{key}")
         stats += [float(np.mean(values)), float(np.std(values))] if values else [float("nan")] * 2
     row = (cfg.pde, cfg.boundary, cfg.n_modes, n_qubits, *stats)
     _write_results(cfg, out_dir, "error_table.csv", ERROR_TABLE_COLUMNS, [row])
@@ -357,7 +339,7 @@ def cmd_table(run_dirs, out_dir: Path | None) -> int:
         print(",".join(str(v) for v in row))
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "error_table.csv", columns, rows)
+        training.write_csv(out_dir / "error_table.csv", columns, rows)
     return 0
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .spectral import BENCHMARK_PDES, BoundarySpec, DirectionBC, assemble_system
+from .training import FAMILIES
 
 __all__ = [
     "ExperimentConfig",
@@ -58,9 +59,7 @@ class ExperimentConfig:
     activation: str = _setting("network", "gelu", choices=("relu", "gelu", "identity"))
     conv_channels: tuple[int, ...] = _setting("network", (), low=1)
     conv_kernel: int = _setting("network", 3, low=1)
-    family: str = _setting(
-        "dataset", "trig_1d", choices=("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k")
-    )
+    family: str = _setting("dataset", "trig_1d", choices=FAMILIES)
     train_size: int = _setting("dataset", 20, low=1)
     test_size: int = _setting("dataset", 50, low=0)
     data_seed: int = _setting("dataset", 11, key="seed", low=0)

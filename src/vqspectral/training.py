@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_split",
     "write_run_record",
     "read_run_record",
+    "write_csv",
 ]
 
 FAMILIES = ("shallow_ry", "trig_1d", "trig_2d", "wave_family", "joint_k")
@@ -363,6 +364,7 @@ class RunRecord:
     checkpoint_final: anglenet.NetworkState
     aborted: bool = False
     abort_reason: str = ""
+    best_evaluation: dict | None = None  # the test split's evaluate_split at best_epoch
 
 
 @dataclass
@@ -444,7 +446,7 @@ def train(
     """
     start = time.perf_counter()
     rows: list[EpochRow] = []
-    best = (np.inf, 0, net.copy())  # (test rel L2, epoch, snapshot)
+    best = (np.inf, 0, net.copy(), None)  # (test rel L2, epoch, snapshot, test evaluation)
     aborted, reason = False, ""
 
     def record(epoch: int) -> None:
@@ -469,7 +471,7 @@ def train(
         )
         score = te["rel_l2"] if np.isfinite(te["rel_l2"]) else tr["rel_l2"]
         if score < best[0]:
-            best = (score, epoch, net.copy())
+            best = (score, epoch, net.copy(), te)
 
     def gradient():
         grads, value = loss_mod.grad_total(
@@ -542,33 +544,24 @@ def train(
         checkpoint_final=net.copy(),
         aborted=aborted,
         abort_reason=reason,
+        best_evaluation=best[3],
     )
 
 
-_RUN_COLUMNS = (
-    "epoch",
-    "train_loss",
-    "test_loss",
-    "train_rel_l2",
-    "test_rel_l2",
-    "test_rel_linf",
-    "test_mae",
-    "wall_seconds",
-)
+_RUN_COLUMNS = tuple(f.name for f in fields(EpochRow))
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header and rows; floats as .17g, which reads back bit for bit, the rest with str."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
 
 
 def write_run_record(record: RunRecord, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RUN_COLUMNS)
-        for row in record.rows:
-            writer.writerow(
-                [row.epoch]
-                + [
-                    f"{getattr(row, col):.17g}"
-                    for col in _RUN_COLUMNS[1:]
-                ]
-            )
+    write_csv(path, _RUN_COLUMNS, (astuple(row) for row in record.rows))
 
 
 def read_run_record(path) -> list[EpochRow]:

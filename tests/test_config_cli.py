@@ -7,11 +7,12 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqspectral import cli
+from vqspectral import anglenet, cli, training
 from vqspectral.config import (
     ExperimentConfig,
     build_system,
@@ -622,9 +623,16 @@ def test_failed_evaluation_keeps_record_and_warns_nothing(tmp_path, recwarn, cap
     text = text.replace("epochs = 120", "epochs = 2").replace("eval_every = 60", "eval_every = 1")
     out_dir = tmp_path / "run"
     assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)]) == 1
-    for name in ("run_record.csv", "checkpoint.bin", "checkpoint_final.bin"):
+    for name in ("run_record.csv", "checkpoint.bin", "checkpoint_final.bin", "resolved_config.txt"):
         assert (out_dir / name).exists()
-    assert "not finite" in capsys.readouterr().err
+    # no evaluation succeeded, so the error table keeps its row with NaN stats
+    with open(out_dir / "error_table.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert all(rows[0][col] == "nan" for col in cli.ERROR_TABLE_COLUMNS[4:])
+    err = capsys.readouterr().err
+    assert "training aborted: denominator radicand is not finite at epoch 1" in err
+    assert not [line for line in err.splitlines() if line.startswith("error:")]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -646,6 +654,20 @@ def test_run_emits_artifacts(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == cli.ERROR_TABLE_COLUMNS
     assert len(rows) == 2
+    # the stats are those of the best checkpoint, re-evaluated on the test split
+    cfg = parse_config_text(MINI_RUN_CFG)
+    system, _, dataset = cli._assemble(cfg, cfg.train_size, cfg.test_size)
+    net = anglenet.load_checkpoint(out_dir / "checkpoint.bin")
+    data = training.TrainData.from_dataset(dataset, system, net.spec.input_shape)
+    program = cli._build_program(cfg, cli._qubit_count(system.size))
+    again = training.evaluate_split(
+        data.ctx_test, program, net, data.test_features, data.test_truth, cfg.objective
+    )
+    expected = []
+    for key in ("rel_l2", "rel_linf", "mae"):
+        values = again[f"per_instance_{key}"]
+        expected += [f"{float(np.mean(values)):.17g}", f"{float(np.std(values)):.17g}"]
+    assert rows[1][4:] == expected
 
 
 def test_run_is_deterministic_modulo_wall_time(tmp_path):
