@@ -1,9 +1,10 @@
 """Classical angle network: forcing features -> circuit angle slots.
 
 Plain numpy feed-forward stacks (optionally a few conv2d layers in front for
-grid inputs) with exact hand-written reverse-mode gradients. No framework
-dependency keeps forward/backward bit-stable and easy to check against finite
-differences.
+grid inputs) with exact hand-written reverse-mode gradients. A conv layer runs
+as a dense layer on its input's windows (im2col), so every layer shares one
+affine core. No framework dependency keeps forward/backward bit-stable and
+easy to check against finite differences.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ _GELU_A = 0.044715
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    # products, not x**3: numpy's power is ~50x slower for that exponent
-    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    # products, not x**3: numpy's power is ~50x slower for that exponent; past
+    # |x| = 1e100 tanh is exactly +-1, so the clip keeps the cube finite and bits equal
+    c = x.clip(-1e100, 1e100)
+    return np.tanh(_GELU_C * (x + _GELU_A * (c * c * c)))
 
 
 def _activation(name: str, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -60,7 +63,8 @@ def _activation_deriv(name: str, x: np.ndarray, t: np.ndarray | None = None) -> 
         return (x > 0.0).astype(float)
     if name == "gelu":
         t = _gelu_tanh(x) if t is None else t
-        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+        c = x.clip(-1e100, 1e100)  # as in _gelu_tanh
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (c * c))
     if name == "identity":
         return np.ones_like(x)
     raise ConfigurationError(f"unknown activation {name!r}")
@@ -172,27 +176,45 @@ def init(spec: NetworkSpec, seed: int) -> NetworkState:
     return NetworkState(spec, flatten(pairs))
 
 
-def _conv_windows(padded: np.ndarray, kernel: int) -> np.ndarray:
-    """(D, C, H, W, k, k) windows of a zero-padded (D, C, H + k - 1, W + k - 1) batch."""
-    return np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+def _windows(x: np.ndarray, kernel: int) -> np.ndarray:
+    """(D*H*W, C*k*k) rows of a (D, C, H, W) batch's zero-padded windows, ordered (c, i, j)."""
+    d, c, h, w = x.shape
+    pad = kernel // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(d * h * w, c * kernel * kernel)
+
+
+def _unwindows(rows: np.ndarray, shape: tuple, kernel: int) -> np.ndarray:
+    """The adjoint of _windows: adds each window row back onto the (D, C, H, W) batch."""
+    d, c, h, w = shape
+    pad = kernel // 2
+    windows = rows.reshape(d, h, w, c, kernel, kernel)
+    padded = np.zeros((d, h + kernel - 1, w + kernel - 1, c))
+    for i in range(kernel):
+        for j in range(kernel):
+            padded[:, i : i + h, j : j + w] += windows[..., i, j]
+    return padded[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
 @dataclass
 class Tape:
-    """What one forward pass leaves for backward.
-
-    lead is () for a single instance and (D,) for a batch; layers holds, per
-    layer, (input, pre-activation, GELU tanh or None), batched.
-    """
+    """What one forward pass leaves for backward: lead is () for a single
+    instance and (D,) for a batch; layers holds, per layer, (input shape, the
+    rows its core read, pre-activation, GELU tanh or None), batched."""
 
     lead: tuple = ()
     layers: list = field(default_factory=list)
 
 
-def _forward_cached(state: NetworkState, features: np.ndarray, tape: Tape) -> np.ndarray:
-    """Batched forward pass recorded on tape; returns the (D, out_dim) output.
+def forward(state: NetworkState, features: np.ndarray, *, tape: Tape | None = None) -> np.ndarray:
+    """Evaluate the network on one instance or on a (D, *input_shape) batch.
 
-    A single instance of shape ``input_shape`` runs as a batch of one.
+    Every layer runs rows @ W.T + b, then its activation: a dense layer's rows
+    are its inputs, a conv layer's are its input's windows, one per pixel. A
+    given tape records this pass, so that backward on the same state and
+    features differentiates it without running the layers again; training
+    runs one forward pass per epoch this way.
     """
     x = np.asarray(features, dtype=float)
     shape = state.spec.input_shape
@@ -202,32 +224,18 @@ def _forward_cached(state: NetworkState, features: np.ndarray, tape: Tape) -> np
             f"features shaped {x.shape}, spec expects {shape} or (batch, *{shape})"
         )
     x = x.reshape((-1,) + shape)
+    tape = Tape() if tape is None else tape
     tape.lead, tape.layers = lead, []
     for layer, w, b in zip(state.spec.layers, state.weights, state.biases):
-        if isinstance(layer, Dense):
-            x = x.reshape(x.shape[0], layer.in_dim)
-            pre = x @ w.T + b
-        else:
-            pad = layer.kernel // 2
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            pre = np.einsum("ocij,dchwij->dohw", w, _conv_windows(x, layer.kernel))
-            pre += b[:, None, None]
+        conv = isinstance(layer, Conv2d)
+        rows = _windows(x, layer.kernel) if conv else x.reshape(len(x), layer.in_dim)
+        pre = rows @ w.reshape(len(w), -1).T + b
         t = _gelu_tanh(pre) if layer.activation == "gelu" else None
-        tape.layers.append((x, pre, t))
-        x = _activation(layer.activation, pre, t)
-    return x
-
-
-def forward(state: NetworkState, features: np.ndarray, *, tape: Tape | None = None) -> np.ndarray:
-    """Evaluate the network on one instance or on a (D, *input_shape) batch.
-
-    A given tape records this pass, so that backward on the same state and
-    features differentiates it without running the layers again; training
-    runs one forward pass per epoch this way.
-    """
-    tape = Tape() if tape is None else tape
-    out = _forward_cached(state, features, tape)
-    return out.reshape(tape.lead + out.shape[1:])
+        tape.layers.append((x.shape, rows, pre, t))
+        out = _activation(layer.activation, pre, t)
+        # pixel rows back to the (D, O, H, W) layout the next layer reads
+        x = out.reshape(len(x), *x.shape[2:], -1).transpose(0, 3, 1, 2) if conv else out
+    return x.reshape(lead + x.shape[1:])
 
 
 def backward(
@@ -249,34 +257,23 @@ def backward(
     """
     if tape is None:
         tape = Tape()
-        _forward_cached(state, features, tape)
+        forward(state, features, tape=tape)
     delta = np.asarray(output_cotangent, dtype=float)
-    out_shape = tape.layers[-1][1].shape[1:] if tape.layers else state.spec.input_shape
+    out_shape = tape.layers[-1][2].shape[1:] if tape.layers else state.spec.input_shape
     if delta.shape != tape.lead + out_shape:
         raise ContractViolation("cotangent shape mismatch")
     grads: list = [None] * len(state.spec.layers)
     for idx in reversed(range(len(state.spec.layers))):
         layer, w = state.spec.layers[idx], state.weights[idx]
-        x_in, pre, t = tape.layers[idx]
-        delta = delta.reshape(pre.shape)
+        in_shape, rows, pre, t = tape.layers[idx]
+        conv = isinstance(layer, Conv2d)
+        # a conv cotangent (D, O, H, W) becomes one row per pixel
+        delta = (delta.transpose(0, 2, 3, 1) if conv else delta).reshape(pre.shape)
         if layer.activation != "identity":
             delta = delta * _activation_deriv(layer.activation, pre, t)
-        if isinstance(layer, Dense):
-            grads[idx] = (delta.T @ x_in, delta.sum(axis=0))
-            delta = delta @ w
-            continue
-        k = layer.kernel
-        pad = k // 2
-        dw = np.einsum("dohw,dchwij->ocij", delta, _conv_windows(x_in, k))
-        grads[idx] = (dw, delta.sum(axis=(0, 2, 3)))
-        dpadded = np.zeros_like(x_in)
-        h, wd = delta.shape[2], delta.shape[3]
-        for di in range(k):
-            for dj in range(k):
-                dpadded[:, :, di : di + h, dj : dj + wd] += np.einsum(
-                    "dohw,oc->dchw", delta, w[:, :, di, dj]
-                )
-        delta = dpadded[:, :, pad : pad + h, pad : pad + wd]
+        grads[idx] = ((delta.T @ rows).reshape(w.shape), delta.sum(axis=0))
+        delta = delta @ w.reshape(len(w), -1)
+        delta = _unwindows(delta, in_shape, layer.kernel) if conv else delta.reshape(in_shape)
     return grads, delta.reshape(tape.lead + state.spec.input_shape)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,49 @@ def test_backward_from_tape_is_bit_identical(kind, batch, rng):
 
 
 # ---------------------------------------------------------------------------
+# The conv core against its einsum forms
+
+
+def _conv_reference(w, b, x, cot):
+    """One conv layer's output, dW and dX as einsums over its sliding windows."""
+    k = w.shape[-1]
+    pad = k // 2
+    h, wd = x.shape[2:]
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+    out = np.einsum("ocij,dchwij->dohw", w, windows) + b[:, None, None]
+    dw = np.einsum("dohw,dchwij->ocij", cot, windows)
+    dpadded = np.zeros_like(padded)
+    for i in range(k):
+        for j in range(k):
+            dpadded[:, :, i : i + h, j : j + wd] += np.einsum("dohw,oc->dchw", cot, w[:, :, i, j])
+    return out, dw, dpadded[:, :, pad : pad + h, pad : pad + wd]
+
+
+@pytest.mark.parametrize("channels", [(1, 4), (2, 3), (3, 2), (4, 1)], ids=str)
+@pytest.mark.parametrize("grid", [(5, 7), (9, 4)], ids=str)
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_conv_core_matches_einsum_reference(kernel, grid, channels, rng):
+    # an identity dense layer after the conv hands its output and cotangent
+    # through exactly, so forward and backward expose the conv layer alone
+    c, o = channels
+    size = o * grid[0] * grid[1]
+    spec = an.NetworkSpec((c, *grid), (an.Conv2d(c, o, kernel), an.Dense(size, size)))
+    net = an.init(spec, 2)
+    net.biases[0][...] = rng.standard_normal(o)
+    net.weights[1][...] = np.eye(size)
+    x = rng.standard_normal((3, c, *grid))
+    cot = rng.standard_normal((3, o, *grid))
+    out, dw, dx = _conv_reference(net.weights[0], net.biases[0], x, cot)
+
+    grads, got_dx = an.backward(net, x, cot.reshape(3, size))
+    assert _rel_gap(an.forward(net, x), out.reshape(3, size)) <= 1e-13
+    assert _rel_gap(grads[0][0], dw) <= 1e-13
+    assert _rel_gap(grads[0][1], cot.sum(axis=(0, 2, 3))) <= 1e-13
+    assert _rel_gap(got_dx, dx) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # Activations
 
 
@@ -288,6 +332,16 @@ def test_gelu_products_match_the_power_formulas(x):
     ):
         bound = 1e-14 * np.abs(want) + 1e-300 + rounding * sensitivity
         assert np.all(np.abs(got - want) <= bound)
+
+
+def test_gelu_saturates_instead_of_overflowing():
+    # the cube of 1e300 overflowed, and the slope then multiplied 0 by inf
+    x = np.array([1e99, 2e100, 1e300, -1e99, -2e100, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, slope = an._activation("gelu", x), an._activation_deriv("gelu", x)
+    assert np.array_equal(value, [1e99, 2e100, 1e300, 0, 0, 0])
+    assert np.array_equal(slope, [1, 1, 1, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

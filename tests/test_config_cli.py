@@ -636,6 +636,16 @@ def test_failed_evaluation_keeps_record_and_warns_nothing(tmp_path, recwarn, cap
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_huge_network_input_aborts_without_overflow_warning(tmp_path, recwarn, capsys):
+    # the first feature is k^2 ~ 1e300, whose cube in the GELU printed
+    # "RuntimeWarning: overflow encountered in multiply" to stderr
+    text = _tiny_cfg("joint_helm", "joint_k", dataset="k_min = 1e149\nk_max = 1e150\n")
+    text = text.replace("test_size = 2", "test_size = 1").replace("epochs = 1", "epochs = 2")
+    assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_conv_network_on_flat_features_exits_two(tmp_path, capsys):
     text = MINI_RUN_CFG.replace("hidden = 24\n", "hidden = 24\nconv_channels = 2\n")
     cfg_path = write_cfg(tmp_path, text)
