@@ -14,7 +14,7 @@ class ConfigurationError(VqSpectralError):
 
 
 class NumericError(VqSpectralError):
-    """An iterative numeric procedure failed to converge."""
+    """A numeric procedure failed to converge or produced a non-finite value."""
 
 
 class SingularSystemError(VqSpectralError):

@@ -14,10 +14,11 @@ applications cheap bit arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, TruncationDegenerateError
+from .errors import ContractViolation, NumericError, TruncationDegenerateError
 
 __all__ = [
     "PauliString",
@@ -32,8 +33,7 @@ __all__ = [
     "count_measurements",
 ]
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+_BIT_DIGITS = (str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011"))  # x, z bit per letter
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _I_POWER_ARRAY = np.array(_I_POWERS)
 # Pairs (or matrix entries) per vectorized block: bounds the temporaries of
@@ -48,13 +48,6 @@ def _column_entries(x, z, cols: np.ndarray) -> np.ndarray:
     return _I_POWER_ARRAY[np.bitwise_count(x & z) % 4] * signs
 
 
-def _masks(expansion: "PauliExpansion") -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays of the x and z masks, in term order."""
-    x = np.array([s.x_bits for s, _ in expansion.terms], dtype=np.int64)
-    z = np.array([s.z_bits for s, _ in expansion.terms], dtype=np.int64)
-    return x, z
-
-
 def _letter_codes(xs: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
     """(terms, n) array of 2 * x_bit + z_bit per qubit, qubit 0 first: I 0, Z 1, X 2, Y 3."""
     shifts = np.arange(n - 1, -1, -1)
@@ -64,6 +57,14 @@ def _letter_codes(xs: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
 def _letters(xs: np.ndarray, zs: np.ndarray, n: int, table: str) -> list[str]:
     """One n-letter string per (x, z) mask pair, spelling letter code k as table[k]."""
     return np.array(list(table))[_letter_codes(xs, zs, n)].view(f"<U{n}").ravel().tolist()
+
+
+def _parse_masks(words: list[str]) -> tuple[list[int], list[int]]:
+    """x and z masks of each word over I, X, Y, Z; qubit 0 is the most significant bit."""
+    invalid = set("".join(words)) - set("IXYZ")
+    if invalid:
+        raise ContractViolation(f"invalid Pauli letter {min(invalid)!r}")
+    return tuple([int("0" + word.translate(table), 2) for word in words] for table in _BIT_DIGITS)
 
 
 def _row_blocks(rows: int, width: int):
@@ -80,14 +81,7 @@ class PauliString:
 
     @staticmethod
     def from_text(text: str) -> "PauliString":
-        x = z = 0
-        for letter in text:
-            try:
-                xb, zb = _LETTER_TO_BITS[letter]
-            except KeyError:
-                raise ContractViolation(f"invalid Pauli letter {letter!r}") from None
-            x = (x << 1) | xb
-            z = (z << 1) | zb
+        (x,), (z,) = _parse_masks([text])
         return PauliString(n_qubits=len(text), x_bits=x, z_bits=z)
 
     @property
@@ -96,11 +90,7 @@ class PauliString:
 
     def letter(self, qubit: int) -> str:
         bit = self.n_qubits - 1 - qubit
-        return _BITS_TO_LETTER[((self.x_bits >> bit) & 1, (self.z_bits >> bit) & 1)]
-
-    @property
-    def support_mask(self) -> int:
-        return self.x_bits | self.z_bits
+        return "IZXY"[2 * ((self.x_bits >> bit) & 1) + ((self.z_bits >> bit) & 1)]  # _letter_codes
 
     def matrix(self) -> np.ndarray:
         cols = np.arange(1 << self.n_qubits)
@@ -124,42 +114,59 @@ class PauliString:
 
     def commutes_qubit_wise(self, other: "PauliString") -> bool:
         """True when on every qubit the letters agree or one is identity."""
-        both = self.support_mask & other.support_mask
+        both = (self.x_bits | self.z_bits) & (other.x_bits | other.z_bits)
         differ = (self.x_bits ^ other.x_bits) | (self.z_bits ^ other.z_bits)
         return (both & differ) == 0
 
 
-@dataclass(frozen=True)
 class PauliExpansion:
-    """Weighted sum of distinct Pauli strings on a fixed qubit count."""
+    """Weighted sum of distinct Pauli strings on a fixed qubit count.
 
-    n_qubits: int
-    terms: tuple[tuple[PauliString, complex], ...]
-    source_tag: str = ""
+    Three read-only arrays in term order: int64 masks x_bits and z_bits and finite complex128
+    coefficients. terms, the (PauliString, complex) pairs, is a view built on first use.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        for string, _ in self.terms:
-            key = (string.x_bits, string.z_bits)
-            if key in seen:
-                raise ContractViolation(f"duplicate Pauli string {string.text}")
-            seen.add(key)
+    def __init__(self, n_qubits: int, terms, source_tag: str = ""):
+        x = np.array([s.x_bits for s, _ in terms], dtype=np.int64)
+        z = np.array([s.z_bits for s, _ in terms], dtype=np.int64)
+        self._adopt(n_qubits, x, z, np.array([c for _, c in terms], dtype=complex), source_tag)
+
+    @classmethod
+    def _from_arrays(cls, n_qubits, x_bits, z_bits, coefficients, source_tag) -> "PauliExpansion":
+        expansion = cls.__new__(cls)
+        expansion._adopt(n_qubits, x_bits, z_bits, coefficients, source_tag)
+        return expansion
+
+    def _adopt(self, n_qubits, x_bits, z_bits, coefficients, source_tag) -> None:
+        self.n_qubits, self.source_tag = n_qubits, source_tag
+        self.x_bits, self.z_bits, self.coefficients = x_bits, z_bits, coefficients
+        for array in (x_bits, z_bits, coefficients):
+            array.flags.writeable = False
+        codes, counts = np.unique((x_bits << n_qubits) | z_bits, return_counts=True)
+        if (counts > 1).any():
+            code = codes[counts > 1][:1]
+            word = _letters(code >> n_qubits, code & ((1 << n_qubits) - 1), n_qubits, "IZXY")[0]
+            raise ContractViolation(f"duplicate Pauli string {word}")
+        bad = np.flatnonzero(~np.isfinite(coefficients))[:1]
+        if bad.size:
+            word = _letters(x_bits[bad], z_bits[bad], n_qubits, "IZXY")[0]
+            raise NumericError(f"{source_tag or 'expansion'}: coefficient of {word} is not finite")
+
+    @cached_property
+    def terms(self) -> tuple[tuple[PauliString, complex], ...]:
+        columns = (a.tolist() for a in (self.x_bits, self.z_bits, self.coefficients))
+        return tuple((PauliString(self.n_qubits, x, z), c) for x, z, c in zip(*columns))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coefficients)
 
     def __iter__(self):
         return iter(self.terms)
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c in self.terms], dtype=complex)
-
     def to_matrix(self) -> np.ndarray:
         """sum_l c_l P_l, scattered in term order so each entry sums as term by term."""
         dim = 1 << self.n_qubits
-        xs, zs = _masks(self)
-        coefs = self.coefficients
+        xs, zs, coefs = self.x_bits, self.z_bits, self.coefficients
         cols = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for rows in _row_blocks(len(xs), dim):
@@ -169,28 +176,30 @@ class PauliExpansion:
 
     def serialize(self) -> str:
         """Line format: <string> <re> <im>."""
-        texts = _letters(*_masks(self), self.n_qubits, "IZXY")
-        return "".join(f"{t} {c.real:.17g} {c.imag:.17g}\n" for t, (_, c) in zip(texts, self.terms))
+        texts = _letters(self.x_bits, self.z_bits, self.n_qubits, "IZXY")
+        coefs = self.coefficients.tolist()
+        return "".join(f"{t} {c.real:.17g} {c.imag:.17g}\n" for t, c in zip(texts, coefs))
 
     @staticmethod
     def deserialize(text: str, source_tag: str = "") -> "PauliExpansion":
-        terms = []
+        words, coefs = [], []
         for line in filter(str.strip, text.splitlines()):
             word, re_part, im_part = line.split()
-            terms.append((PauliString.from_text(word), complex(float(re_part), float(im_part))))
-        if not terms:
+            words.append(word)
+            coefs.append(complex(float(re_part), float(im_part)))
+        if not words:
             raise ContractViolation("empty serialized expansion")
-        if len({string.n_qubits for string, _ in terms}) > 1:
+        if len(set(map(len, words))) > 1:
             raise ContractViolation("mixed qubit counts in serialized expansion")
-        return PauliExpansion(terms[0][0].n_qubits, tuple(terms), source_tag)
+        x, z = (np.array(masks, dtype=np.int64) for masks in _parse_masks(words))
+        return PauliExpansion._from_arrays(len(words[0]), x, z, np.array(coefs), source_tag)
 
 
 def _from_dense(coefs: np.ndarray, source_tag: str) -> PauliExpansion:
     """Expansion from coefs[x, z] over all 4^n strings: terms above _DROP_TOL, in (x, z) order."""
     n = coefs.shape[0].bit_length() - 1
-    xs, zs = np.nonzero(np.abs(coefs) > _DROP_TOL)
-    terms = zip(xs.tolist(), zs.tolist(), coefs[xs, zs].tolist())
-    return PauliExpansion(n, tuple((PauliString(n, x, z), c) for x, z, c in terms), source_tag)
+    xs, zs = np.nonzero(~(np.abs(coefs) <= _DROP_TOL))  # keeps NaN, which the expansion rejects
+    return PauliExpansion._from_arrays(n, xs, zs, coefs[xs, zs], source_tag)
 
 
 def decompose(matrix: np.ndarray, source_tag: str = "") -> PauliExpansion:
@@ -198,8 +207,9 @@ def decompose(matrix: np.ndarray, source_tag: str = "") -> PauliExpansion:
 
     Coefficients are normalized trace inner products trace(P @ A) / 2^n: all
     x-diagonals A[c, c ^ x] are gathered at once, then one Walsh-Hadamard
-    transform over c (a butterfly per bit) yields every z-mask. Coefficients
-    at or below _DROP_TOL in magnitude are dropped; terms come in (x, z) order.
+    transform over c (a butterfly per bit, in place on one buffer) yields every
+    z-mask. Coefficients at or below _DROP_TOL in magnitude are dropped; terms
+    come in (x, z) order. A non-finite coefficient raises NumericError.
     """
     matrix = np.asarray(matrix)
     dim = matrix.shape[0]
@@ -210,12 +220,17 @@ def decompose(matrix: np.ndarray, source_tag: str = "") -> PauliExpansion:
         raise ContractViolation(f"matrix dimension {dim} is not a power of two")
     cols = np.arange(dim)
     masks = cols[:, None]
-    sums = matrix.astype(complex)[cols, cols ^ masks].reshape((dim,) + (2,) * n)
-    for axis in range(n, 0, -1):  # least significant bit of c first
-        low, high = sums.take(0, axis), sums.take(1, axis)
-        sums = np.stack((low + high, low - high), axis=axis)
-    coefs = _I_POWER_ARRAY[np.bitwise_count(masks & cols) & 3] * sums.reshape(dim, dim) / dim
-    return _from_dense(coefs, source_tag)
+    sums = matrix[cols, cols ^ masks].astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        for bit in range(n):  # least significant bit of c first
+            low, high = np.moveaxis(sums.reshape(dim, -1, 2, 1 << bit), 2, 0)  # views
+            diff = low - high
+            low += high
+            high[...] = diff
+            del diff  # so that no level's half-size temporary outlives it
+        sums *= _I_POWER_ARRAY[np.bitwise_count(masks & cols) & 3]
+        sums /= dim
+        return _from_dense(sums, source_tag)
 
 
 def adjoint_product(
@@ -227,31 +242,33 @@ def adjoint_product(
 
     Products are formed in blocks of left rows with PauliString.product's
     phase rule and summed per result string in (left, right) term order;
-    terms come in (x, z) order.
+    terms come in (x, z) order. A non-finite coefficient raises NumericError.
     """
     if left.n_qubits != right.n_qubits:
         raise ContractViolation("qubit counts differ")
     n = left.n_qubits
-    lx, lz = _masks(left)
-    rx, rz = _masks(right)
+    lx, lz, rx, rz = left.x_bits, left.z_bits, right.x_bits, right.z_bits
     lcode, rcode = (lx << n) | lz, (rx << n) | rz  # the XOR of two codes is their product's
-    # popcounts stay uint8: exponents matter mod 4, and uint8 sums wrap mod 256
-    lxz, rxz = np.bitwise_count(lx & lz), np.bitwise_count(rx & rz)
-    lc, rc = np.conj(left.coefficients), right.coefficients
+    # each factor's i^{|x & z|} goes into its coefficient once: a quarter turn is exact
+    lc = np.conj(left.coefficients) * _I_POWER_ARRAY[np.bitwise_count(lx & lz) & 3]
+    rc = right.coefficients * _I_POWER_ARRAY[np.bitwise_count(rx & rz) & 3]
+    # contiguous copies of the parts: the block loop reads them once per block
+    lre, lim, rre, rim = (part.copy() for c in (lc, rc) for part in (c.real, c.imag))
     acc = np.zeros(1 << (2 * n), dtype=complex)  # coefficient of P(x, z) at code (x << n) | z
-    for rows in _row_blocks(len(lx), len(rx)):
-        code = lcode[rows, None] ^ rcode
-        exp = lxz[rows, None] + rxz - np.bitwise_count((code >> n) & code)
-        exp += 2 * np.bitwise_count(lz[rows, None] & rx)
-        # conj(c_l) c_r in real arithmetic, rounded as a scalar complex product
-        # is; numpy's vectorized complex multiply may fuse and round otherwise
-        a, b = lc[rows, None], rc
-        values = np.empty(code.shape, dtype=complex)
-        values.real = a.real * b.real - a.imag * b.imag
-        values.imag = a.real * b.imag + a.imag * b.real
-        values *= _I_POWER_ARRAY[exp & 3]
-        np.add.at(acc, code.ravel(), values.ravel())
-    return _from_dense(acc.reshape(1 << n, 1 << n), source_tag)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        for rows in _row_blocks(len(lx), len(rx)):
+            code = lcode[rows, None] ^ rcode
+            # uint8 popcounts: the exponent matters mod 4, and uint8 wraps mod 256
+            exp = 2 * np.bitwise_count(lz[rows, None] & rx) - np.bitwise_count((code >> n) & code)
+            # conj(c_l) c_r in real arithmetic, rounded as a scalar complex product
+            # is; numpy's vectorized complex multiply may fuse and round otherwise
+            a_re, a_im = lre[rows, None], lim[rows, None]
+            values = np.empty(code.shape, dtype=complex)
+            values.real = a_re * rre - a_im * rim
+            values.imag = a_re * rim + a_im * rre
+            values *= _I_POWER_ARRAY[exp & 3]
+            np.add.at(acc, code.ravel(), values.ravel())
+        return _from_dense(acc.reshape(1 << n, 1 << n), source_tag)
 
 
 def normal_operator(expansion: PauliExpansion, method: str = "pairwise") -> PauliExpansion:
@@ -299,8 +316,7 @@ def group_commuting(expansion: PauliExpansion) -> MeasurementGrouping:
     of each qubit new to that group. Identity slots stay 0.
     """
     n = expansion.n_qubits
-    xs, zs = _masks(expansion)
-    coefs = expansion.coefficients
+    xs, zs, coefs = expansion.x_bits, expansion.z_bits, expansion.coefficients
     # hypot rounds |c| as Python's abs does; np.abs differs in the last bit on some c
     order = np.argsort(-np.hypot(coefs.real, coefs.imag), kind="stable")
     clash = [0] * (4 * n)
@@ -344,20 +360,20 @@ def truncate(
     """Keep terms with |coefficient| > threshold; diagnose against the full operator."""
     if threshold < 0:
         raise ContractViolation("threshold must be >= 0")
-    kept = tuple((s, c) for s, c in expansion.terms if abs(c) > threshold)
-    if not kept:
-        raise TruncationDegenerateError(
-            f"threshold {threshold} removed all {len(expansion)} terms"
-        )
-    truncated = PauliExpansion(
-        n_qubits=expansion.n_qubits, terms=kept, source_tag=expansion.source_tag
+    coefs = expansion.coefficients
+    kept = np.hypot(coefs.real, coefs.imag) > threshold  # rounds as abs(c); np.abs may not
+    if not kept.any():
+        raise TruncationDegenerateError(f"threshold {threshold} removed all {len(expansion)} terms")
+    masks = expansion.x_bits[kept], expansion.z_bits[kept]
+    truncated = PauliExpansion._from_arrays(
+        expansion.n_qubits, *masks, coefs[kept], expansion.source_tag
     )
     full = expansion.to_matrix()
     reduced = truncated.to_matrix()
     rel = float(np.linalg.norm(full - reduced) / np.linalg.norm(full))
     cond = float(np.linalg.cond(reduced))
     return truncated, TruncationDiagnostics(
-        rel_frobenius_error=rel, condition_number=cond, term_count=len(kept)
+        rel_frobenius_error=rel, condition_number=cond, term_count=len(truncated)
     )
 
 

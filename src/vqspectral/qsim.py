@@ -463,6 +463,8 @@ def estimate_shots(
     state = np.asarray(state, dtype=complex)
     rng = np.random.default_rng(rng_seed)
     total = 0.0 + 0.0j
+    supports = (expansion.x_bits | expansion.z_bits).tolist()
+    coefs = expansion.coefficients.tolist()
     for group, basis in zip(grouping.groups, grouping.basis_rotations):
         turn = np.array([[[_MEASURE_T[letter]] for letter in basis]])  # (1, n, 1, 2, 2)
         factors = _block_factors(np.ones((len(basis), 1, 1, 1)), *_block_tables(turn))
@@ -471,8 +473,7 @@ def estimate_shots(
         counts = rng.multinomial(shots, probs)
         nonzero = np.nonzero(counts)[0]
         for idx in group:
-            string, coef = expansion.terms[idx]
-            signs = 1.0 - 2.0 * (np.bitwise_count(nonzero & string.support_mask) & 1)
-            total += coef * float(np.sum(counts[nonzero] * signs) / shots)
+            signs = 1.0 - 2.0 * (np.bitwise_count(nonzero & supports[idx]) & 1)
+            total += coefs[idx] * float(np.sum(counts[nonzero] * signs) / shots)
     return {"estimate": float(total.real), "circuits_used": grouping.n_groups}
 

@@ -241,6 +241,21 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
+def test_scaling_with_overflowing_products_exits_one(tmp_path, capsys):
+    # entries near 1e300 are finite, but the products of A^dag A overflow to inf and NaN
+    text = (
+        "[benchmark]\npde = cd1d\nn_modes = 4\nepsilon = 1e-300\nnu = 1e300\n"
+        "[study]\nscaling_modes = 4\nscaling_dims = 1\n"
+    )
+    out_dir = tmp_path / "out"
+    code = cli.main(["scaling", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert re.search(r"^error: cd1d\^dag cd1d: coefficient of [IXYZ]{2} is not finite$", captured.err)
+    assert "RuntimeWarning" not in captured.err
+    assert not (out_dir / "scaling.csv").exists()
+
+
 def _exits_two_naming(tmp_path, capsys, text, name, verb="run", dry_run=True):
     cfg_path = write_cfg(tmp_path, text)
     argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "o")] + ["--dry-run"] * dry_run

@@ -1,12 +1,17 @@
+import dataclasses
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vqspectral import cli, config
 from vqspectral import pauli as pl
 from vqspectral import spectral as sp
-from vqspectral.errors import ContractViolation, TruncationDegenerateError
+from vqspectral.errors import ContractViolation, NumericError, TruncationDegenerateError
 
 from test_acceptance import BENCHMARK_OPERATORS
 
@@ -127,8 +132,44 @@ def test_decompose_to_matrix_roundtrip(matrix):
 
 def test_duplicate_strings_rejected():
     z = pl.PauliString.from_text("Z")
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="duplicate Pauli string Z"):
         pl.PauliExpansion(1, ((z, 1.0), (z, 2.0)))
+    with pytest.raises(ContractViolation, match="duplicate Pauli string XY"):
+        pl.PauliExpansion.deserialize("XY 1 0\nZI 2 0\nXY 3 0\n")
+
+
+def test_decompose_rejects_a_non_finite_coefficient():
+    matrix = np.eye(4)
+    matrix[0, 1] = np.nan
+    with pytest.raises(NumericError, match="^probe: coefficient of [IXYZ]{2} is not finite$"):
+        pl.decompose(matrix, "probe")
+
+
+def test_expansion_arrays_are_read_only_and_terms_rebuild_it(rng):
+    expansion = pl.decompose(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), "A")
+    assert expansion.x_bits.dtype == expansion.z_bits.dtype == np.int64
+    assert expansion.coefficients.dtype == complex
+    for array in (expansion.x_bits, expansion.z_bits, expansion.coefficients):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    again = pl.PauliExpansion(expansion.n_qubits, expansion.terms, "A")
+    assert again.serialize() == expansion.serialize()
+    masks = zip(expansion.x_bits.tolist(), expansion.z_bits.tolist())
+    assert [s for s, _ in expansion] == [pl.PauliString(3, x, z) for x, z in masks]
+
+
+def test_decompose_peak_memory_stays_under_three_complex_matrices():
+    base = config.parse_config(Path(__file__).parent.parent / "configs/cd1d_dirichlet.cfg")
+    sub = dataclasses.replace(config.scaling_config(base, 2), n_modes=16)
+    matrix = config.build_system(sub).matrix  # K = 256, as in the scaling study
+    tracemalloc.start()
+    try:
+        expansion = pl.decompose(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (256, 256) and len(expansion) == 1575
+    assert peak < 3 * matrix.size * 16
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +297,19 @@ def test_truncate_monotone_in_threshold():
         errors.append(diag.rel_frobenius_error)
     assert counts == sorted(counts)
     assert errors == sorted(errors, reverse=True)
+
+
+def test_truncate_at_a_terms_own_magnitude_matches_the_tuple_filter():
+    # np.abs(c) and Python's abs(c) differ in the last bit on some c; the filter uses abs(c)
+    rng = np.random.default_rng(7)
+    expansion = pl.decompose(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    coefs = expansion.coefficients
+    assert (np.abs(coefs) > np.hypot(coefs.real, coefs.imag)).any()
+    assert (np.abs(coefs) < np.hypot(coefs.real, coefs.imag)).any()
+    for threshold in sorted(abs(c) for _, c in expansion)[:-1]:
+        kept = [(s, c) for s, c in expansion.terms if abs(c) > threshold]
+        truncated, diag = pl.truncate(expansion, threshold)
+        assert list(truncated) == kept and diag.term_count == len(kept)
 
 
 def test_truncate_empty_raises():
@@ -528,3 +582,20 @@ def test_adjoint_product_with_full_weight_strings(rng):
     left, right = expansion(keys), expansion(keys[::-1])
     for pair in ((left, right), (left, left)):
         assert_same_expansion(pl.adjoint_product(*pair), _loop_adjoint_product(*pair))
+
+
+def test_scaling_builds_no_pauli_string(monkeypatch, tmp_path):
+    # the scaling study's sizes (cd family, N in {4, 8, 16}, d in {1, 2}) run on the arrays alone
+    calls = []
+    init = pl.PauliString.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pl.PauliString, "__init__", counting_init)
+    base = config.parse_config(Path(__file__).parent.parent / "configs/cd1d_dirichlet.cfg")
+    cfg = dataclasses.replace(base, scaling_modes=(4, 8, 16), scaling_dims=(1, 2))
+    assert cli.cmd_scaling(cfg, tmp_path) == 0
+    assert calls == []
+    assert len(pl.decompose(np.eye(2)).terms) == 1 and len(calls) == 1  # the counter counts
